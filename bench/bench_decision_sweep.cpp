@@ -114,13 +114,13 @@ int main(int argc, char** argv) {
   std::vector<server::Server::TenantHandle> handles;
   handles.reserve(kTenants);
   for (std::size_t t = 0; t < kTenants; ++t) {
-    server::Server::TenantHandle handle = 0;
-    if (!srv.register_tenant("tenant" + std::to_string(t), sweep_kb(),
-                             configure_tenant, &handle)) {
+    const auto created =
+        srv.create_tenant("tenant" + std::to_string(t), sweep_kb(), configure_tenant);
+    if (!created.created) {
       std::fprintf(stderr, "tenant registration refused at %zu\n", t);
       return 2;
     }
-    handles.push_back(handle);
+    handles.push_back(created.handle);
   }
 
   // Warm sweep: publishes every tenant's decision, sizes the scratch

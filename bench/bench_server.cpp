@@ -129,17 +129,17 @@ RegimeResult drive(server::Server& srv, const std::vector<std::uint64_t>& handle
   return result;
 }
 
-std::vector<std::uint64_t> register_tenants(server::Server& srv, std::size_t n) {
+std::vector<std::uint64_t> create_tenants(server::Server& srv, std::size_t n) {
   std::vector<std::uint64_t> handles;
   handles.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
-    std::uint64_t handle = 0;
-    if (!srv.register_tenant("tenant" + std::to_string(t), tenant_kb(),
-                             configure_tenant, &handle)) {
+    const auto created =
+        srv.create_tenant("tenant" + std::to_string(t), tenant_kb(), configure_tenant);
+    if (!created.created) {
       std::fprintf(stderr, "tenant registration refused at %zu\n", t);
       std::exit(2);
     }
-    handles.push_back(handle);
+    handles.push_back(created.handle);
   }
   return handles;
 }
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   clean_options.checkpoint_dir = (root / "clean").string();
   {
     server::Server srv(clean_options);
-    const auto handles = register_tenants(srv, config.tenants);
+    const auto handles = create_tenants(srv, config.tenants);
     clean = drive(srv, handles, config.clean_events, config.decide_every);
     for (std::size_t t = 0; t < config.tenants; ++t) {
       const auto status = srv.tenant_status(handles[t]);
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
   {
     const double t0 = now_s();
     server::Server resumed(clean_options);
-    const auto handles = register_tenants(resumed, config.tenants);
+    const auto handles = create_tenants(resumed, config.tenants);
     resume_seconds = now_s() - t0;
     for (std::size_t t = 0; t < config.tenants; ++t) {
       const std::size_t survived = applied_at_kill[t] - buffered_at_kill[t];
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
   RegimeResult overload;
   {
     server::Server srv(overload_options);
-    const auto handles = register_tenants(srv, config.tenants);
+    const auto handles = create_tenants(srv, config.tenants);
     // Periodic injected stalls guarantee the ring actually fills (2x+
     // overload) even on hosts whose drain outruns this single producer.
     const std::size_t stall_every = config.overload_events / 8;
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   std::size_t chaos_recovered = 0;
   {
     server::Server srv(chaos_options);
-    const auto handles = register_tenants(srv, config.tenants);
+    const auto handles = create_tenants(srv, config.tenants);
     chaos = drive(srv, handles, config.chaos_events, config.decide_every);
     // The stall site draws per worker loop; a short run may finish
     // before the schedule fires.  Keep light traffic flowing until the
@@ -326,7 +326,7 @@ int main(int argc, char** argv) {
   ChaosEngine::global().disarm();
   {
     server::Server resumed(chaos_options);
-    const auto handles = register_tenants(resumed, config.tenants);
+    const auto handles = create_tenants(resumed, config.tenants);
     for (std::size_t t = 0; t < config.tenants; ++t) {
       double correction = 0.0;
       std::size_t best = 0;

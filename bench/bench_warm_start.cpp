@@ -9,10 +9,10 @@
 //           representatives into the knowledge pool; a similar tenant
 //           registering afterwards is seeded from them and must land on
 //           the same optimum with >= 3x fewer feedback rounds and a
-//           true-rank gap within 5%.  Three cold variants (sharing
-//           disabled, featureless profile, plain register_tenant) must
-//           produce bit-identical decision sequences — sharing off is
-//           exactly the old behaviour.
+//           true-rank gap within 5%.  Two cold variants (sharing
+//           disabled, featureless profile) must produce bit-identical
+//           decision sequences — sharing off is exactly the old
+//           behaviour.
 //   dse     A donor kernel's two-stage exploration hands its best
 //           measured points (as flat indices) plus the merged COBAYN
 //           posterior to a similar kernel's explorer via
@@ -230,17 +230,10 @@ int main(int argc, char** argv) {
     const auto t = srv.create_tenant("t", design_kb(), configure);
     cold_variants.push_back(drive(srv, t.handle, rounds));
   }
-  {
-    server::Server srv(server_options());  // the pre-pool entry point
-    std::uint64_t handle = 0;
-    if (!srv.register_tenant("t", design_kb(), configure, &handle)) return 2;
-    cold_variants.push_back(drive(srv, handle, rounds));
-  }
   const bool cold_identical =
-      cold_variants[0] == donor_decisions && cold_variants[1] == donor_decisions &&
-      cold_variants[2] == donor_decisions;
+      cold_variants[0] == donor_decisions && cold_variants[1] == donor_decisions;
   all_ok = all_ok && cold_identical;
-  std::printf("   sharing-off / featureless / plain-register sequences %s\n",
+  std::printf("   sharing-off / featureless sequences %s\n",
               cold_identical ? "identical to the cold walk" : "DIVERGED (FAIL)");
 
   // ---- dse: donor's measured best + merged posterior warm the explorer ---------

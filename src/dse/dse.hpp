@@ -68,7 +68,8 @@ ProfiledPoint profile_point(const platform::PerformanceModel& model,
                             std::size_t threads, platform::BindingPolicy binding,
                             std::size_t repetitions, Rng& noise, double work_scale);
 
-/// Profiles every point of the space (`repetitions` noisy runs each).
+/// Profiles every point of the space (`repetitions` noisy runs each):
+/// FullFactorialExplorer (explorer.hpp) with one attempt per point.
 /// Runs on `pool` (TaskPool::shared() when null); output is identical
 /// at any job count for a fixed seed.
 std::vector<ProfiledPoint> full_factorial_dse(const platform::PerformanceModel& model,
@@ -78,27 +79,6 @@ std::vector<ProfiledPoint> full_factorial_dse(const platform::PerformanceModel& 
                                               std::uint64_t seed,
                                               double work_scale = 1.0,
                                               TaskPool* pool = nullptr);
-
-/// full_factorial_dse with per-point fault tolerance: each design
-/// point gets `point_attempts` tries (an injected chaos fault or a
-/// transient exception consumes one); a point that exhausts them is
-/// *dropped* — the sweep finishes with reduced coverage instead of
-/// aborting a whole campaign for one flaky measurement.  Logic errors
-/// (caller bugs) still propagate.  Surviving points keep the flat
-/// order and are byte-identical to a chaos-free run: every attempt
-/// re-derives the point's own noise stream from (seed, index).
-struct SupervisedDseResult {
-  std::vector<ProfiledPoint> points;  ///< survivors, original order
-  std::size_t dropped = 0;            ///< points lost after all attempts
-  std::size_t retries = 0;            ///< extra attempts that were needed
-};
-
-SupervisedDseResult supervised_dse(const platform::PerformanceModel& model,
-                                   const platform::KernelModelParams& kernel,
-                                   const DesignSpace& space, std::size_t repetitions,
-                                   std::uint64_t seed, double work_scale = 1.0,
-                                   TaskPool* pool = nullptr,
-                                   std::size_t point_attempts = 2);
 
 /// Writes a profile in the artifact-cache text format (hexfloat
 /// doubles, exact round trip).

@@ -1,6 +1,7 @@
 #include "dse/explorer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -54,7 +55,7 @@ FlatProfile profile_flat_supervised(const ExploreContext& ctx,
     const FlatPoint fp = decompose_flat(space, flat);
     for (std::size_t attempt = 0; attempt < ctx.point_attempts; ++attempt) {
       try {
-        // Same indexed chaos draw as supervised_dse: the decision for
+        // Indexed (not counter-based) chaos draw: the decision for
         // (flat point, attempt) is independent of which strategy asked
         // and of thread interleaving.
         if (chaos.enabled() &&
@@ -168,14 +169,9 @@ std::vector<std::size_t> stratified_indices(const DesignSpace& space,
 
 ExploreResult FullFactorialExplorer::explore(const ExploreContext& ctx) const {
   require_context(ctx);
-  auto run = supervised_dse(ctx.model, ctx.kernel, ctx.space, ctx.repetitions,
-                            ctx.seed, ctx.work_scale, ctx.pool, ctx.point_attempts);
-  ExploreResult out;
-  out.points = std::move(run.points);
-  out.evaluated = ctx.space.size();
-  out.dropped = run.dropped;
-  out.retries = run.retries;
-  return out;
+  std::vector<std::size_t> indices(ctx.space.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
+  return result_from(detail::profile_flat_supervised(ctx, indices), indices.size());
 }
 
 void FullFactorialExplorer::add_to_key(Hasher& h) const { h.add("dse-full"); }
@@ -258,6 +254,16 @@ const char* DseStrategyOptions::kind_name() const {
 }
 
 // ---- free functions --------------------------------------------------------
+
+std::vector<ProfiledPoint> full_factorial_dse(const platform::PerformanceModel& model,
+                                              const platform::KernelModelParams& kernel,
+                                              const DesignSpace& space,
+                                              std::size_t repetitions,
+                                              std::uint64_t seed, double work_scale,
+                                              TaskPool* pool) {
+  ExploreContext ctx{model, kernel, space, repetitions, seed, work_scale, pool, 1};
+  return FullFactorialExplorer{}.explore(ctx).points;
+}
 
 std::vector<ProfiledPoint> random_subset_dse(const platform::PerformanceModel& model,
                                              const platform::KernelModelParams& kernel,

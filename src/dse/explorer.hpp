@@ -73,7 +73,7 @@ class Explorer {
   virtual void add_to_key(Hasher& h) const = 0;
 };
 
-/// The paper's exhaustive sweep (supervised_dse under the hood).
+/// The paper's exhaustive sweep: every flat index, in ascending order.
 class FullFactorialExplorer final : public Explorer {
  public:
   std::string_view name() const override { return "full"; }
@@ -170,12 +170,13 @@ std::vector<ProfiledPoint> stratified_dse(const platform::PerformanceModel& mode
 
 namespace detail {
 
-/// Profiles the given flat indices of the full factorial space in
-/// parallel with supervised per-point retry: each point draws noise
-/// from the stream (seed, flat index) — the streams full_factorial_dse
-/// uses — and gets ctx.point_attempts tries (chaos site "dse.point",
-/// indexed by flat index, exactly like supervised_dse).  Survivors keep
-/// the order of `flat_indices`; `surviving_flat` names them.
+/// The one per-point sweep loop every strategy runs: profiles the given
+/// flat indices of the full factorial space in parallel with supervised
+/// per-point retry.  Each point draws noise from the stream (seed, flat
+/// index) and gets ctx.point_attempts tries (chaos site "dse.point",
+/// indexed by (flat index, attempt)); a point that exhausts them is
+/// dropped, logic errors propagate.  Survivors keep the order of
+/// `flat_indices`; `surviving_flat` names them.
 struct FlatProfile {
   std::vector<ProfiledPoint> points;
   std::vector<std::size_t> surviving_flat;

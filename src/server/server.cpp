@@ -206,15 +206,6 @@ void Server::build_tenant_runtime(Tenant& tenant) {
   tenant.mutation_stamp.fetch_add(1, std::memory_order_release);
 }
 
-bool Server::register_tenant(const std::string& name, margot::KnowledgeBase knowledge,
-                             std::function<void(margot::Asrtm&)> configure,
-                             TenantHandle* out_handle) {
-  const CreateResult result =
-      create_tenant(name, std::move(knowledge), std::move(configure), {});
-  if (result.created && out_handle != nullptr) *out_handle = result.handle;
-  return result.created;
-}
-
 std::size_t Server::seed_knowledge(margot::KnowledgeBase& knowledge,
                                    const margot::KnowledgeBase& donor) {
   // Transfer requires an identical schema: knob/metric name lists must

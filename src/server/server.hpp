@@ -149,7 +149,8 @@ const char* to_string(Admission admission);
 /// sharing: it can be warm-started from a similar converged donor at
 /// registration and donates its own corrected knowledge back once it
 /// converges.  A tenant without features (the default) always cold
-/// starts and never donates — byte-identical to register_tenant.
+/// starts and never donates — byte-identical to a server with sharing
+/// disabled.
 struct TenantProfile {
   std::optional<features::FeatureVector> features;
   /// The tenant's own COBAYN posterior over compiler configurations
@@ -194,23 +195,20 @@ class Server {
   /// `configure` (may be empty) applies requirements, and — when the
   /// server persists — a CheckpointStore attaches, restoring any prior
   /// state for this tenant name.  `configure` is retained and re-run
-  /// when a shard restart rebuilds the tenant.  Returns false (and
-  /// counts server.tenants_rejected) when max_tenants are registered or
-  /// when the AS-RTM build / configure functor throws.
-  bool register_tenant(const std::string& name, margot::KnowledgeBase knowledge,
-                       std::function<void(margot::Asrtm&)> configure,
-                       TenantHandle* out_handle);
-
-  /// register_tenant plus cross-tenant knowledge sharing.  When the
-  /// pool is enabled and `profile` carries a feature vector, the pool
-  /// is probed for a converged donor within the distance threshold:
-  /// on a hit, donor representatives overwrite matching knob
-  /// configurations in `knowledge` (their metrics are
-  /// feedback-corrected, hence more trustworthy than design-time
-  /// estimates), new configurations are appended, and the result's
-  /// warm_posterior carries the donor⊕own merged COBAYN posterior.  A
-  /// donor whose knob/metric schema differs is skipped
-  /// (server.pool_schema_mismatches) — the tenant cold-starts.
+  /// when a shard restart rebuilds the tenant.  `created` is false (and
+  /// server.tenants_rejected counts it) when max_tenants are registered
+  /// or when the AS-RTM build / configure functor throws.
+  ///
+  /// Cross-tenant knowledge sharing: when the pool is enabled and
+  /// `profile` carries a feature vector, the pool is probed for a
+  /// converged donor within the distance threshold: on a hit, donor
+  /// representatives overwrite matching knob configurations in
+  /// `knowledge` (their metrics are feedback-corrected, hence more
+  /// trustworthy than design-time estimates), new configurations are
+  /// appended, and the result's warm_posterior carries the donor⊕own
+  /// merged COBAYN posterior.  A donor whose knob/metric schema differs
+  /// is skipped (server.pool_schema_mismatches) — the tenant
+  /// cold-starts.
   ///
   /// Exception safety at the slot boundary: a registration that fails
   /// after admission (runtime build or configure throws) releases its
@@ -455,7 +453,7 @@ class Server {
   std::mutex registration_mu_;
 
   /// Cross-tenant knowledge pool; null when options_.share_knowledge is
-  /// off (create_tenant then behaves exactly like register_tenant).
+  /// off (every create_tenant then cold-starts).
   std::unique_ptr<KnowledgePool> pool_;
   std::atomic<std::size_t> warm_started_{0};
 

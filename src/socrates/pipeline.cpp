@@ -125,6 +125,7 @@ std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
                                const platform::KernelModelParams& params,
                                const dse::DesignSpace& space, std::size_t repetitions,
                                std::uint64_t seed, double work_scale,
+                               const dse::Explorer& explorer,
                                std::uint64_t stage_version) {
   Hasher h;
   h.add("dse-profile");
@@ -150,22 +151,14 @@ std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
   h.add(seed);
   h.add(work_scale);
   count_key_bytes(h);
-  return h.digest();
-}
 
-std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
-                               const std::string& source,
-                               const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale,
-                               const dse::Explorer& explorer,
-                               std::uint64_t stage_version) {
-  Hasher h;
-  h.add(dse_artifact_key(platform, source, params, space, repetitions, seed,
-                         work_scale, stage_version));
-  explorer.add_to_key(h);
-  count_key_bytes(h);
-  return h.digest();
+  // Second round: the inputs' digest plus the strategy fingerprint.  A
+  // separate round keeps the keys of already stored build() profiles.
+  Hasher keyed;
+  keyed.add(h.digest());
+  explorer.add_to_key(keyed);
+  count_key_bytes(keyed);
+  return keyed.digest();
 }
 
 Pipeline::Pipeline(const platform::PerformanceModel& platform, ToolchainOptions options,
@@ -221,35 +214,6 @@ const cobayn::CobaynModel& Pipeline::cobayn_model() const {
   return cobayn_.front();
 }
 
-Pipeline::ProfileResult Pipeline::profile_cached(
-    const std::string& source, const platform::KernelModelParams& params,
-    const dse::DesignSpace& space, std::size_t repetitions, std::uint64_t seed,
-    double work_scale) {
-  const std::uint64_t key = dse_artifact_key(platform_, source, params, space,
-                                             repetitions, seed, work_scale);
-  if (auto payload = cache_->load(key, "dse-profile")) {
-    try {
-      std::istringstream in(*payload);
-      return {dse::load_profile(in), true, 0};
-    } catch (const ContractViolation& e) {
-      log_warn() << "stored DSE artifact unusable (" << e.what() << "); reprofiling";
-    }
-  }
-  auto run = dse::supervised_dse(platform_, params, space, repetitions, seed,
-                                 work_scale, &pool_, options_.dse_point_attempts);
-  if (run.dropped == 0) {
-    std::ostringstream out;
-    dse::save_profile(out, run.points);
-    cache_->store(key, "dse-profile", out.str());
-  } else {
-    // Never cache a degraded profile: a later chaos-free build must
-    // recompute the full factorial, not inherit the holes.
-    log_warn() << "DSE dropped " << run.dropped << " of " << space.size()
-               << " design points; profile not cached";
-  }
-  return {std::move(run.points), false, run.dropped};
-}
-
 Pipeline::ExploreCacheResult Pipeline::explore_cached(
     const std::string& source, const platform::KernelModelParams& params,
     const dse::DesignSpace& space, std::size_t repetitions, std::uint64_t seed,
@@ -288,6 +252,45 @@ Pipeline::ExploreCacheResult Pipeline::explore_cached(
   return out;
 }
 
+Pipeline::ExploreCacheResult Pipeline::dse_stage(
+    const std::string& source, const platform::KernelModelParams& params,
+    const dse::DesignSpace& space, std::size_t repetitions, std::uint64_t seed,
+    double work_scale, const dse::Explorer& explorer) {
+  const StageScope scope("Dse");
+  ExploreCacheResult result;
+  const auto sup = supervisor_.run("Dse", [&] {
+    ChaosEngine::global().on_stage("stage.Dse");
+    result = explore_cached(source, params, space, repetitions, seed, work_scale,
+                            explorer);
+    if (result.points.empty()) throw Error("DSE dropped every design point");
+  });
+  std::ostringstream note;
+  if (explorer.name() != "full")
+    note << "strategy " << explorer.name() << ": " << result.evaluated << " of "
+         << space.size() << " points evaluated";
+  if (result.dropped > 0)
+    note << (note.str().empty() ? "" : "; ") << "degraded coverage: " << result.dropped
+         << " points dropped";
+  push_stage("Dse", result.cache_hit, scope.finish(), sup, result.dropped, note.str());
+  return result;
+}
+
+void Pipeline::push_stage(const char* name, bool cache_hit, double seconds,
+                          const SupervisorReport& sup, std::size_t dropped,
+                          std::string note) {
+  StageReport stage;
+  stage.name = name;
+  stage.cache_hit = cache_hit;
+  stage.seconds = seconds;
+  stage.attempts = sup.attempts;
+  stage.fallback = !sup.succeeded;
+  stage.dropped_points = dropped;
+  stage.note = std::move(note);
+  if (stage.fallback)
+    MetricsRegistry::global().counter("pipeline.stage_fallbacks").add(1);
+  report_.stages.push_back(std::move(stage));
+}
+
 AdaptiveBinary Pipeline::build(const std::string& benchmark_name,
                                double work_scale_override) {
   SOCRATES_REQUIRE(work_scale_override >= 0.0);
@@ -319,22 +322,6 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
                      margot::KnowledgeBase({"config", "threads", "binding"},
                                            {"exec_time_s", "power_w", "throughput"})};
   ChaosEngine& chaos = ChaosEngine::global();
-
-  const auto push_stage = [this](const char* stage_name, bool cache_hit,
-                                 double seconds, const SupervisorReport& sup,
-                                 std::size_t dropped, std::string note) {
-    StageReport stage;
-    stage.name = stage_name;
-    stage.cache_hit = cache_hit;
-    stage.seconds = seconds;
-    stage.attempts = sup.attempts;
-    stage.fallback = !sup.succeeded;
-    stage.dropped_points = dropped;
-    stage.note = std::move(note);
-    if (stage.fallback)
-      MetricsRegistry::global().counter("pipeline.stage_fallbacks").add(1);
-    report_.stages.push_back(std::move(stage));
-  };
 
   // Parse: source -> AST.  No degraded product makes sense for a parse
   // failure, so exhaustion propagates after the retries.
@@ -411,29 +398,9 @@ AdaptiveBinary Pipeline::build_impl(const std::string& name, const std::string& 
   for (std::size_t ci = platform::standard_levels().size(); ci < configs.size(); ++ci)
     seed_configs.push_back(ci);
   const auto explorer = dse::make_explorer(options_.dse, std::move(seed_configs));
-  const StageScope dse_stage("Dse");
-  ExploreCacheResult dse_result;
-  const auto dse_sup = supervisor_.run("Dse", [&] {
-    chaos.on_stage("stage.Dse");
-    dse_result = explore_cached(source, params, out.space, options_.dse_repetitions,
-                                options_.seed + 17, work_scale, *explorer);
-    if (dse_result.points.empty())
-      throw Error("DSE dropped every design point");
-  });
+  auto dse_result = dse_stage(source, params, out.space, options_.dse_repetitions,
+                              options_.seed + 17, work_scale, *explorer);
   out.profile = std::move(dse_result.points);
-  std::string dse_note;
-  {
-    std::ostringstream os;
-    if (options_.dse.kind != dse::DseStrategyOptions::Kind::kFull)
-      os << "strategy " << explorer->name() << ": " << dse_result.evaluated << " of "
-         << out.space.size() << " points evaluated";
-    if (dse_result.dropped > 0)
-      os << (os.str().empty() ? "" : "; ") << "degraded coverage: "
-         << dse_result.dropped << " points dropped";
-    dse_note = os.str();
-  }
-  push_stage("Dse", dse_result.cache_hit, dse_stage.finish(), dse_sup,
-             dse_result.dropped, std::move(dse_note));
 
   // Prune: cluster the explored Pareto front to at most K
   // representatives (Luo et al.); the weaver then emits only the
@@ -503,25 +470,9 @@ std::vector<dse::ProfiledPoint> Pipeline::profile_space(
     std::size_t repetitions, std::uint64_t seed, double work_scale) {
   SOCRATES_REQUIRE(repetitions >= 1);
   const auto& bench = kernels::find_benchmark(benchmark_name);
-  const StageScope dse_stage("Dse");
-  ProfileResult result;
-  const auto sup = supervisor_.run("Dse", [&] {
-    ChaosEngine::global().on_stage("stage.Dse");
-    result = profile_cached(kernels::benchmark_source(benchmark_name), bench.model,
-                            space, repetitions, seed, work_scale);
-    if (result.points.empty()) throw Error("DSE dropped every design point");
-  });
-  StageReport stage;
-  stage.name = "Dse";
-  stage.cache_hit = result.cache_hit;
-  stage.seconds = dse_stage.finish();
-  stage.attempts = sup.attempts;
-  stage.dropped_points = result.dropped;
-  if (result.dropped > 0)
-    stage.note = "degraded coverage: " + std::to_string(result.dropped) +
-                 " design points dropped";
-  report_.stages.push_back(std::move(stage));
-  return std::move(result.points);
+  return dse_stage(kernels::benchmark_source(benchmark_name), bench.model, space,
+                   repetitions, seed, work_scale, dse::FullFactorialExplorer{})
+      .points;
 }
 
 weaver::WovenBenchmark Pipeline::weave(const std::string& benchmark_name) {
@@ -532,11 +483,7 @@ weaver::WovenBenchmark Pipeline::weave(const std::string& benchmark_name) {
     woven = weaver::weave_benchmark_paper_space(
         benchmark_name, kernels::benchmark_source(benchmark_name));
   });
-  StageReport stage;
-  stage.name = "Weave";
-  stage.seconds = weave_stage.finish();
-  stage.attempts = sup.attempts;
-  report_.stages.push_back(std::move(stage));
+  push_stage("Weave", false, weave_stage.finish(), sup, 0, {});
   return woven;
 }
 

@@ -10,8 +10,6 @@
 // process or, with $SOCRATES_CACHE_DIR, in a later one — reloads the
 // artifact instead of recomputing it.  docs/PIPELINE.md documents the
 // stage graph, the key recipes and the determinism contract.
-//
-// Toolchain (toolchain.hpp) remains as a thin facade over this class.
 #pragma once
 
 #include <cstddef>
@@ -116,16 +114,8 @@ std::uint64_t cobayn_artifact_key(const platform::PerformanceModel& platform,
                                   const cobayn::TrainOptions& train,
                                   std::uint64_t stage_version = kCobaynStageVersion);
 
-/// Artifact key of a profiled design space (full-factorial recipe —
-/// profile_space() and the figure benches use it).
-std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
-                               const std::string& source,
-                               const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale,
-                               std::uint64_t stage_version = kDseStageVersion);
-
-/// Explorer-aware key: the base recipe plus the strategy fingerprint
+/// Artifact key of a profiled design space: every input that changes
+/// the measurements, wrapped with the strategy fingerprint
 /// (Explorer::add_to_key), so two strategies — or two budgets of one
 /// strategy — never share a stored profile.
 std::uint64_t dse_artifact_key(const platform::PerformanceModel& platform,
@@ -191,19 +181,8 @@ class Pipeline {
                             double work_scale);
   /// Trains or cache-loads the model; true when it came from the cache.
   bool ensure_cobayn();
-  /// Cache-through factorial profiling with per-point fault tolerance.
-  struct ProfileResult {
-    std::vector<dse::ProfiledPoint> points;
-    bool cache_hit = false;
-    std::size_t dropped = 0;  ///< points lost to faults (degraded coverage)
-  };
-  ProfileResult profile_cached(const std::string& source,
-                               const platform::KernelModelParams& params,
-                               const dse::DesignSpace& space, std::size_t repetitions,
-                               std::uint64_t seed, double work_scale);
-  /// Cache-through exploration with the configured strategy (build's
-  /// Dse stage).  `evaluated` counts unique points the strategy spent
-  /// budget on (points.size() on a cache hit).
+  /// Cache-through exploration.  `evaluated` counts unique points the
+  /// strategy spent budget on (points.size() on a cache hit).
   struct ExploreCacheResult {
     std::vector<dse::ProfiledPoint> points;
     bool cache_hit = false;
@@ -215,6 +194,17 @@ class Pipeline {
                                     const dse::DesignSpace& space,
                                     std::size_t repetitions, std::uint64_t seed,
                                     double work_scale, const dse::Explorer& explorer);
+  /// The Dse stage of build() and profile_space(): explore_cached under
+  /// the supervisor, reported in last_report().  Faults are absorbed per
+  /// design point (reduced coverage); losing every point fails the stage.
+  ExploreCacheResult dse_stage(const std::string& source,
+                               const platform::KernelModelParams& params,
+                               const dse::DesignSpace& space, std::size_t repetitions,
+                               std::uint64_t seed, double work_scale,
+                               const dse::Explorer& explorer);
+  /// Appends one StageReport to last_report() (and counts a fallback).
+  void push_stage(const char* name, bool cache_hit, double seconds,
+                  const SupervisorReport& sup, std::size_t dropped, std::string note);
 
   const platform::PerformanceModel& platform_;
   ToolchainOptions options_;

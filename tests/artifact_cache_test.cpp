@@ -176,23 +176,31 @@ TEST(ArtifactKeys, DseKeyTracksEveryInput) {
   const auto space = dse::DesignSpace::paper_space(model().topology());
   const auto& bench = kernels::find_benchmark("2mm");
   const std::string source = kernels::benchmark_source("2mm");
+  const dse::FullFactorialExplorer full;
 
-  const auto base = dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0);
-  EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0), base);
-
-  EXPECT_NE(dse_artifact_key(model(), source + "\n", bench.model, space, 5, 2018, 1.0),
+  const auto base =
+      dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0, full);
+  EXPECT_EQ(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0, full),
             base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 4, 2018, 1.0), base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2019, 1.0), base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.5), base);
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0,
+
+  EXPECT_NE(
+      dse_artifact_key(model(), source + "\n", bench.model, space, 5, 2018, 1.0, full),
+      base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 4, 2018, 1.0, full),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2019, 1.0, full),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.5, full),
+            base);
+  EXPECT_NE(dse_artifact_key(model(), source, bench.model, space, 5, 2018, 1.0, full,
                              kDseStageVersion + 1),
             base);
 
   auto narrower = space;
   narrower.thread_counts.pop_back();
-  EXPECT_NE(dse_artifact_key(model(), source, bench.model, narrower, 5, 2018, 1.0),
-            base);
+  EXPECT_NE(
+      dse_artifact_key(model(), source, bench.model, narrower, 5, 2018, 1.0, full),
+      base);
 }
 
 // ---- Serialized artifact formats ------------------------------------------------
@@ -328,6 +336,32 @@ TEST(PipelineCache, DifferentWorkScaleOrSeedMissesTheCache) {
   reseeded.build("syrk");
   EXPECT_FALSE(reseeded.last_report().stage("Dse")->cache_hit);
   EXPECT_FALSE(reseeded.last_report().stage("CobaynPredict")->cache_hit);
+}
+
+TEST(PipelineCache, ProfileSpaceWarmCallReplaysTheColdSweep) {
+  ArtifactCache cache;
+  Pipeline pipeline(model(), small_options(), &cache);
+  const auto space = dse::DesignSpace::paper_space(model().topology());
+
+  const auto cold = pipeline.profile_space("atax", space, 2, 31);
+  ASSERT_NE(pipeline.last_report().stage("Dse"), nullptr);
+  EXPECT_FALSE(pipeline.last_report().stage("Dse")->cache_hit);
+
+  const auto warm = pipeline.profile_space("atax", space, 2, 31);
+  const auto* warm_dse = pipeline.last_report().stage("Dse");
+  ASSERT_NE(warm_dse, nullptr);
+  EXPECT_TRUE(warm_dse->cache_hit);
+
+  std::ostringstream a, b, direct;
+  dse::save_profile(a, cold);
+  dse::save_profile(b, warm);
+  EXPECT_EQ(b.str(), a.str());
+
+  // The points are the full sweep's, not a pipeline-specific variant.
+  dse::save_profile(direct, dse::full_factorial_dse(
+                                model(), kernels::find_benchmark("atax").model, space,
+                                2, 31));
+  EXPECT_EQ(a.str(), direct.str());
 }
 
 TEST(PipelineCache, UnusableStoredArtifactTriggersRecomputeNotCrash) {

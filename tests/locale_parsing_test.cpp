@@ -126,9 +126,11 @@ TEST(LocaleParsing, KnowledgeCsvRoundTripsUnderCommaLocale) {
   kb.add(std::move(op));
   // Save must imbue the classic locale (a ',' radix point collides
   // with the CSV separator); load must parse '.' cells regardless.
+  // The row keeps exactly its two CSV separators: no grouped knob
+  // ("4.096") and no ',' radix point ("0,125").
   const std::string text = margot::knowledge_to_string(kb);
-  EXPECT_EQ(text.find(','), std::string::npos)
-      << "CSV payload grew a locale-formatted comma:\n" << text;
+  EXPECT_NE(text.find("\n4096,0.125,0.5\n"), std::string::npos)
+      << "CSV row is locale-formatted:\n" << text;
   const margot::KnowledgeBase back = margot::knowledge_from_string(text);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back[0].knobs[0], 4096);

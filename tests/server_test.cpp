@@ -260,10 +260,12 @@ class ServerTest : public ::testing::Test {
 
 TEST_F(ServerTest, FeedbackFlowsThroughToTheTenantAsrtm) {
   Server server(base_options());
-  Server::TenantHandle a = 0;
-  Server::TenantHandle b = 0;
-  ASSERT_TRUE(server.register_tenant("alpha", make_kb(), configure_min_time, &a));
-  ASSERT_TRUE(server.register_tenant("beta", make_kb(), configure_min_time, &b));
+  const CreateResult alpha = server.create_tenant("alpha", make_kb(), configure_min_time);
+  const CreateResult beta = server.create_tenant("beta", make_kb(), configure_min_time);
+  ASSERT_TRUE(alpha.created);
+  ASSERT_TRUE(beta.created);
+  const Server::TenantHandle a = alpha.handle;
+  const Server::TenantHandle b = beta.handle;
   EXPECT_EQ(server.tenant_count(), 2u);
   EXPECT_NE(server.shard_of(a), server.shard_of(b));  // round-robin over 2 shards
 
@@ -293,10 +295,9 @@ TEST_F(ServerTest, AdmissionCapRejectsTenantsBeyondMax) {
   ServerOptions options = base_options();
   options.max_tenants = 2;
   Server server(options);
-  Server::TenantHandle h = 0;
-  EXPECT_TRUE(server.register_tenant("t0", make_kb(), {}, &h));
-  EXPECT_TRUE(server.register_tenant("t1", make_kb(), {}, &h));
-  EXPECT_FALSE(server.register_tenant("t2", make_kb(), {}, &h));
+  EXPECT_TRUE(server.create_tenant("t0", make_kb(), {}).created);
+  EXPECT_TRUE(server.create_tenant("t1", make_kb(), {}).created);
+  EXPECT_FALSE(server.create_tenant("t2", make_kb(), {}).created);
   EXPECT_EQ(server.tenant_count(), 2u);
 }
 
@@ -307,8 +308,9 @@ TEST_F(ServerTest, TokenBucketRateLimitsATenant) {
   Server server(options);
   std::atomic<double> now{0.0};
   server.set_time_source([&now] { return now.load(); });
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("limited", make_kb(), {}, &h));
+  const CreateResult created = server.create_tenant("limited", make_kb(), {});
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(server.submit_feedback(h, 0, 0, 1.2), Admission::kAccepted);
@@ -327,8 +329,9 @@ TEST_F(ServerTest, NonFiniteFeedbackFloodTripsTheBreaker) {
   Server server(options);
   std::atomic<double> now{0.0};
   server.set_time_source([&now] { return now.load(); });
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("nan-flood", make_kb(), {}, &h));
+  const CreateResult created = server.create_tenant("nan-flood", make_kb(), {});
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int i = 0; i < 8; ++i) {
@@ -357,10 +360,14 @@ TEST_F(ServerTest, OutOfRangeOpOrMetricIsRefusedAtIngressNotTheWorker) {
   Server server(options);
   std::atomic<double> now{0.0};
   server.set_time_source([&now] { return now.load(); });
-  Server::TenantHandle bad = 0;
-  Server::TenantHandle good = 0;
-  ASSERT_TRUE(server.register_tenant("malformed", make_kb(), configure_min_time, &bad));
-  ASSERT_TRUE(server.register_tenant("bystander", make_kb(), configure_min_time, &good));
+  const CreateResult malformed =
+      server.create_tenant("malformed", make_kb(), configure_min_time);
+  const CreateResult bystander =
+      server.create_tenant("bystander", make_kb(), configure_min_time);
+  ASSERT_TRUE(malformed.created);
+  ASSERT_TRUE(bystander.created);
+  const Server::TenantHandle bad = malformed.handle;
+  const Server::TenantHandle good = bystander.handle;
   const std::size_t ops = make_kb().size();
 
   EXPECT_EQ(server.submit_feedback(bad, ops, 0, 1.2), Admission::kInvalid);
@@ -404,10 +411,14 @@ TEST_F(ServerTest, RebuildFailureQuarantinesTheTenantNotTheServer) {
     if (flaky_configs.fetch_add(1) > 0) throw Error("configure broke on rebuild");
     configure_min_time(asrtm);
   };
-  Server::TenantHandle flaky = 0;
-  Server::TenantHandle steady = 0;
-  ASSERT_TRUE(server.register_tenant("flaky", make_kb(), flaky_configure, &flaky));
-  ASSERT_TRUE(server.register_tenant("steady", make_kb(), configure_min_time, &steady));
+  const CreateResult flaky_tenant =
+      server.create_tenant("flaky", make_kb(), flaky_configure);
+  const CreateResult steady_tenant =
+      server.create_tenant("steady", make_kb(), configure_min_time);
+  ASSERT_TRUE(flaky_tenant.created);
+  ASSERT_TRUE(steady_tenant.created);
+  const Server::TenantHandle flaky = flaky_tenant.handle;
+  const Server::TenantHandle steady = steady_tenant.handle;
 
   for (int i = 0; i < 6; ++i) {
     ASSERT_EQ(server.submit_feedback(steady, 0, 0, 1.3), Admission::kAccepted);
@@ -450,14 +461,13 @@ TEST_F(ServerTest, GoalFlappingQuarantinesTheTenant) {
   Server server(options);
   std::atomic<double> now{0.0};
   server.set_time_source([&now] { return now.load(); });
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("flapper", make_kb(),
-                                     [](margot::Asrtm& asrtm) {
-                                       asrtm.set_rank(Rank::minimize_exec_time(0));
-                                       asrtm.add_constraint(
-                                           {0, margot::ComparisonOp::kLess, 2.0, 0, 0.0});
-                                     },
-                                     &h));
+  const CreateResult created =
+      server.create_tenant("flapper", make_kb(), [](margot::Asrtm& asrtm) {
+        asrtm.set_rank(Rank::minimize_exec_time(0));
+        asrtm.add_constraint({0, margot::ComparisonOp::kLess, 2.0, 0, 0.0});
+      });
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   // 4 updates inside the window are within contract...
   for (int i = 0; i < 4; ++i) {
@@ -478,8 +488,9 @@ TEST_F(ServerTest, RejectPolicyShedsWhenTheRingIsFull) {
   options.ring_capacity = 16;
   options.policy = BackpressurePolicy::kReject;
   Server server(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("bursty", make_kb(), {}, &h));
+  const CreateResult created = server.create_tenant("bursty", make_kb(), {});
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
   // Stall the lone shard so nothing drains while we overfill the ring.
   server.inject_stall(0, 0.5);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -505,8 +516,9 @@ TEST_F(ServerTest, DropOldestPolicyBoundsTheRingWithoutBlocking) {
   options.ring_capacity = 16;
   options.policy = BackpressurePolicy::kDropOldest;
   Server server(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("telemetry", make_kb(), {}, &h));
+  const CreateResult created = server.create_tenant("telemetry", make_kb(), {});
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
   server.inject_stall(0, 0.5);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
@@ -530,8 +542,10 @@ TEST_F(ServerTest, WatchdogRestartsAStalledShardAndRecoversItsTenants) {
   options.checkpoint_dir = (dir_ / "ckpt").string();
   options.group_commit = 1;  // flush-per-event: the restart loses nothing
   Server server(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("survivor", make_kb(), configure_min_time, &h));
+  const CreateResult created =
+      server.create_tenant("survivor", make_kb(), configure_min_time);
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   for (int i = 0; i < 6; ++i) {
     ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.3), Admission::kAccepted);
@@ -573,9 +587,10 @@ TEST_F(ServerTest, CrashAndResumeRecoversEveryTenant) {
   {
     Server server(options);
     for (int t = 0; t < kTenants; ++t) {
-      Server::TenantHandle h = 0;
-      ASSERT_TRUE(server.register_tenant("tenant" + std::to_string(t), make_kb(),
-                                         configure_min_time, &h));
+      const CreateResult created = server.create_tenant(
+          "tenant" + std::to_string(t), make_kb(), configure_min_time);
+      ASSERT_TRUE(created.created);
+      const Server::TenantHandle h = created.handle;
       for (int i = 0; i < kEventsPerTenant; ++i) {
         ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.4), Admission::kAccepted);
       }
@@ -595,9 +610,10 @@ TEST_F(ServerTest, CrashAndResumeRecoversEveryTenant) {
 
   Server resumed(options);
   for (int t = 0; t < kTenants; ++t) {
-    Server::TenantHandle h = 0;
-    ASSERT_TRUE(resumed.register_tenant("tenant" + std::to_string(t), make_kb(),
-                                        configure_min_time, &h));
+    const CreateResult created = resumed.create_tenant(
+        "tenant" + std::to_string(t), make_kb(), configure_min_time);
+    ASSERT_TRUE(created.created);
+    const Server::TenantHandle h = created.handle;
     // The journal replays the committed prefix (8 of 10 events); the
     // learned state must match a run that saw exactly that prefix.
     margot::Asrtm reference(make_kb());
@@ -617,8 +633,10 @@ TEST_F(ServerTest, CheckpointAllMakesShutdownLossless) {
   double correction_before = 0.0;
   {
     Server server(options);
-    Server::TenantHandle h = 0;
-    ASSERT_TRUE(server.register_tenant("clean", make_kb(), configure_min_time, &h));
+    const CreateResult created =
+        server.create_tenant("clean", make_kb(), configure_min_time);
+    ASSERT_TRUE(created.created);
+    const Server::TenantHandle h = created.handle;
     for (int i = 0; i < 5; ++i) {
       ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.5), Admission::kAccepted);
     }
@@ -629,8 +647,10 @@ TEST_F(ServerTest, CheckpointAllMakesShutdownLossless) {
     server.checkpoint_all();  // clean shutdown point
   }
   Server resumed(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(resumed.register_tenant("clean", make_kb(), configure_min_time, &h));
+  const CreateResult created =
+      resumed.create_tenant("clean", make_kb(), configure_min_time);
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
   resumed.with_tenant(h, [&](margot::Asrtm& asrtm) {
     EXPECT_DOUBLE_EQ(asrtm.correction(0), correction_before);
   });
@@ -650,8 +670,9 @@ TEST_F(ServerTest, ServerChaosIngestFloodIsShedNotFatal) {
   options.ring_capacity = 32;
   options.policy = BackpressurePolicy::kDropOldest;
   Server server(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("flooded", make_kb(), {}, &h));
+  const CreateResult created = server.create_tenant("flooded", make_kb(), {});
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   for (int i = 0; i < 200; ++i) {
     ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.2), Admission::kAccepted);
@@ -678,8 +699,10 @@ TEST_F(ServerTest, ServerChaosShardStallRecoversThroughTheWatchdog) {
   options.checkpoint_dir = (dir_ / "ckpt").string();
   options.group_commit = 1;
   Server server(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("chaotic", make_kb(), configure_min_time, &h));
+  const CreateResult created =
+      server.create_tenant("chaotic", make_kb(), configure_min_time);
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   std::uint64_t sent = 0;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -710,8 +733,10 @@ TEST_F(ServerTest, ServerChaosJournalFailLosesAtMostTheFailedBatches) {
   constexpr std::uint64_t kEvents = 40;
   {
     Server server(options);
-    Server::TenantHandle h = 0;
-    ASSERT_TRUE(server.register_tenant("lossy", make_kb(), configure_min_time, &h));
+    const CreateResult created =
+        server.create_tenant("lossy", make_kb(), configure_min_time);
+    ASSERT_TRUE(created.created);
+    const Server::TenantHandle h = created.handle;
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.4), Admission::kAccepted);
     }
@@ -723,8 +748,10 @@ TEST_F(ServerTest, ServerChaosJournalFailLosesAtMostTheFailedBatches) {
   // Resume: some batches were dropped by the injected I/O failures, but
   // what replays is a clean prefix-of-batches subset — never corruption.
   Server resumed(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(resumed.register_tenant("lossy", make_kb(), configure_min_time, &h));
+  const CreateResult created =
+      resumed.create_tenant("lossy", make_kb(), configure_min_time);
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
   resumed.with_tenant(h, [](margot::Asrtm& asrtm) {
     EXPECT_GE(asrtm.correction(0), 1.0);
     (void)asrtm.find_best_operating_point();  // decisions still serve
@@ -739,8 +766,10 @@ TEST_F(ServerTest, ServerChaosDiskFullDegradesThenRecoversDurability) {
   options.checkpoint_probe_base_s = 0.01;
   options.checkpoint_probe_max_s = 0.05;
   Server server(options);
-  Server::TenantHandle h = 0;
-  ASSERT_TRUE(server.register_tenant("enospc", make_kb(), configure_min_time, &h));
+  const CreateResult created =
+      server.create_tenant("enospc", make_kb(), configure_min_time);
+  ASSERT_TRUE(created.created);
+  const Server::TenantHandle h = created.handle;
 
   ASSERT_EQ(server.submit_feedback(h, 0, 0, 1.2), Admission::kAccepted);
   ASSERT_TRUE(server.drain(5.0));
@@ -796,8 +825,10 @@ TEST_F(ServerTest, ServerChaosDiskFullDegradesThenRecoversDurability) {
     correction_live = asrtm.correction(0);
   });
   Server resumed(options);
-  Server::TenantHandle r = 0;
-  ASSERT_TRUE(resumed.register_tenant("enospc", make_kb(), configure_min_time, &r));
+  const CreateResult recreated =
+      resumed.create_tenant("enospc", make_kb(), configure_min_time);
+  ASSERT_TRUE(recreated.created);
+  const Server::TenantHandle r = recreated.handle;
   resumed.with_tenant(r, [&](margot::Asrtm& asrtm) {
     EXPECT_DOUBLE_EQ(asrtm.correction(0), correction_live);
   });
