@@ -30,6 +30,11 @@
 // decision is allocation-free and >= 10x faster than the cold decision,
 // and exits non-zero otherwise.  The `decision_bench_smoke` CTest entry
 // runs exactly this assertion so a regression of the O(1) path fails CI.
+// The same run measures the *dirty* decision (one send_feedback that
+// moves a rank metric's correction, then a decision) and emits its
+// exact rank evaluations and allocations, which the baseline gates:
+// bound-pruned rank selection must evaluate a handful of the 1024
+// points exactly, not all of them, and allocate nothing once warm.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -42,6 +47,7 @@
 
 #include "dse/dse.hpp"
 #include "margot/context.hpp"
+#include "observability/metrics.hpp"
 #include "observability/trace.hpp"
 #include "platform/clock.hpp"
 #include "platform/rapl.hpp"
@@ -258,6 +264,63 @@ void BM_AsrtmDecide_Cached1024(benchmark::State& state) {
 }
 BENCHMARK(BM_AsrtmDecide_Cached1024);
 
+/// The dirty decision every MAPE cycle pays at decision epsilon 0: a
+/// feedback on a metric of the Thr/W^2 rank moves its correction (the
+/// observation alternates around the profile so the EWMA never settles),
+/// then the next decision recomputes.
+margot::Asrtm make_dirty_asrtm(std::size_t n) {
+  margot::Asrtm asrtm = make_synthetic_asrtm(n);
+  asrtm.set_rank(margot::Rank::maximize_throughput_per_watt2(0, 1));
+  return asrtm;
+}
+
+void dirty_step(margot::Asrtm& asrtm, std::uint64_t i) {
+  const std::size_t metric = i % 2;
+  const double mean = asrtm.knowledge().metric_means(metric)[0];
+  asrtm.send_feedback(0, metric, mean * ((i / 2) % 2 == 0 ? 1.05 : 0.95));
+  benchmark::DoNotOptimize(asrtm.find_best_operating_point());
+}
+
+void BM_AsrtmDecide_Dirty1024(benchmark::State& state) {
+  margot::Asrtm asrtm = make_dirty_asrtm(1024);
+  std::uint64_t i = 0;
+  for (auto _ : state) dirty_step(asrtm, i++);
+}
+BENCHMARK(BM_AsrtmDecide_Dirty1024);
+
+struct DirtyDecision {
+  double ns = 0.0;               ///< feedback + decision, best trial
+  double rank_evals = 0.0;       ///< exact Rank::evaluate calls per decision
+  std::uint64_t allocs = 0;      ///< over 1000 warm dirty decisions
+};
+
+DirtyDecision measure_dirty_decision(std::size_t points) {
+  margot::Asrtm asrtm = make_dirty_asrtm(points);
+  std::uint64_t step = 0;
+  for (int i = 0; i < 8; ++i) dirty_step(asrtm, step++);  // warm scratch + base column
+
+  DirtyDecision dirty;
+  dirty.ns = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kCalls = 2000;
+  for (int trial = 0; trial < 7; ++trial) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kCalls; ++i) dirty_step(asrtm, step++);
+    const auto t1 = std::chrono::steady_clock::now();
+    dirty.ns = std::min(dirty.ns, std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                                      static_cast<double>(kCalls));
+  }
+
+  Counter& evaluations = MetricsRegistry::global().counter("asrtm.rank_evaluations");
+  const std::uint64_t evals_before = evaluations.value();
+  const std::uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  constexpr std::uint64_t kCounted = 1000;
+  for (std::uint64_t i = 0; i < kCounted; ++i) dirty_step(asrtm, step++);
+  dirty.allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  dirty.rank_evals = static_cast<double>(evaluations.value() - evals_before) /
+                     static_cast<double>(kCounted);
+  return dirty;
+}
+
 /// The pinned assertion behind the `decision_bench_smoke` CTest entry:
 /// at 1024 operating points the clean-epoch decision must be >= 10x
 /// faster than the cold decision and allocate nothing.
@@ -299,6 +362,7 @@ bool run_decision_scaling_check() {
       g_allocations.load(std::memory_order_relaxed) - before;
 
   const double ratio = cold_ns / steady_ns;
+  const DirtyDecision dirty = measure_dirty_decision(kPoints);
 
   // Machine-readable artifact for the baseline gate
   // (bench/baselines/margot_overhead.json): bounds live on the ratio
@@ -311,6 +375,9 @@ bool run_decision_scaling_check() {
   w.kv("steady_ns", steady_ns);
   w.kv("ratio", ratio);
   w.kv("steady_allocs", steady_allocs);
+  w.kv("dirty_ns", dirty.ns);
+  w.kv("rank_evals_per_dirty_decision", dirty.rank_evals);
+  w.kv("dirty_allocs", dirty.allocs);
   w.end_object();
   w.end_object();
   write_bench_json("margot_overhead", w.str());
@@ -320,6 +387,10 @@ bool run_decision_scaling_check() {
       "steady_allocs=%llu\n",
       kPoints, cold_ns, steady_ns, ratio,
       static_cast<unsigned long long>(steady_allocs));
+  std::printf(
+      "dirty decision @%zu OPs: %.0fns (feedback + decide), %.2f exact rank "
+      "evaluations, allocs=%llu\n",
+      kPoints, dirty.ns, dirty.rank_evals, static_cast<unsigned long long>(dirty.allocs));
   const bool ok = ratio >= kMinSpeedup && steady_allocs == 0;
   if (ok)
     std::printf(

@@ -107,7 +107,7 @@ void Asrtm::set_rank(Rank rank) {
   for (const auto& term : rank.terms)
     SOCRATES_REQUIRE(term.metric < knowledge_.metric_names().size());
   rank_ = std::move(rank);
-  rank_column_.valid = false;
+  rank_base_.valid = false;
   touch_decision();
   if (journal_) note_decision_trigger("rank changed");
 }
@@ -243,33 +243,129 @@ const std::vector<double>& Asrtm::constraint_column(std::size_t handle) const {
   return column.values;
 }
 
-const std::vector<double>& Asrtm::rank_column() const {
-  RankColumn& column = rank_column_;
-  bool fresh = column.valid && column.versions.size() == rank_.terms.size();
-  if (fresh) {
-    for (std::size_t t = 0; t < rank_.terms.size(); ++t)
-      if (column.versions[t] != correction_versions_[rank_.terms[t].metric]) {
-        fresh = false;
-        break;
-      }
+namespace {
+
+/// A normal double with ample headroom on both sides: any relative
+/// perturbation far below 2x keeps it normal, so the standard rounding
+/// model (relative error <= 2^-53 per operation) holds for it.
+bool in_safe_range(double x) { return x >= 0x1p-1000 && x <= 0x1p+1000; }
+
+/// True when evaluating the geometric `rank` of every point under
+/// `corrections` (nullptr = no correction) keeps each intermediate —
+/// mean * correction, each pow, each running product — in the safe
+/// range.  Points are bracketed term by term: pow is monotone in its
+/// base, so the extreme means bound each factor, and products of the
+/// factor extremes bound every running product.
+bool geometric_in_range(const Rank& rank, const std::vector<double>& metric_min,
+                        const std::vector<double>& metric_max,
+                        const double* corrections) {
+  double lo = 1.0;
+  double hi = 1.0;
+  for (std::size_t t = 0; t < rank.terms.size(); ++t) {
+    const RankTerm& term = rank.terms[t];
+    const double c = corrections != nullptr ? corrections[term.metric] : 1.0;
+    const double x_lo = metric_min[t] * c;
+    const double x_hi = metric_max[t] * c;
+    const double p_a = std::pow(x_lo, term.weight);
+    const double p_b = std::pow(x_hi, term.weight);
+    lo *= std::min(p_a, p_b);
+    hi *= std::max(p_a, p_b);
+    if (!(in_safe_range(x_lo) && in_safe_range(x_hi) && in_safe_range(p_a) &&
+          in_safe_range(p_b) && in_safe_range(lo) && in_safe_range(hi)))
+      return false;
   }
-  if (!fresh) {
-    const std::size_t n = knowledge_.size();
-    column.values.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      column.values[i] = rank_.evaluate(knowledge_, i, applied_corrections_);
-    column.versions.resize(rank_.terms.size());
-    for (std::size_t t = 0; t < rank_.terms.size(); ++t)
-      column.versions[t] = correction_versions_[rank_.terms[t].metric];
-    column.valid = true;
-    static Counter& recomputed =
-        MetricsRegistry::global().counter("asrtm.rank_columns_recomputed");
-    recomputed.add(1);
-    static Counter& rows =
-        MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
-    rows.add(n);
+  return true;
+}
+
+/// The `k`-th largest of the alive `values` (-inf when fewer than k are
+/// alive); NaN when an alive value is NaN (no order, hence no sound
+/// cutoff).  k is 1, or 1 + kMaxRejected while journaling.
+double kth_largest(const std::vector<unsigned char>& alive, const double* values,
+                   std::size_t k) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::array<double, kMaxRejected + 1> best;
+  SOCRATES_REQUIRE(k >= 1 && k <= best.size());
+  best.fill(-kInf);
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (alive[i] == 0) continue;
+    const double v = values[i];
+    if (std::isnan(v)) return v;
+    if (!(v > best[k - 1])) continue;
+    std::size_t pos = k - 1;
+    for (; pos > 0 && v > best[pos - 1]; --pos) best[pos] = best[pos - 1];
+    best[pos] = v;
   }
-  return column.values;
+  return best[k - 1];
+}
+
+}  // namespace
+
+const Asrtm::RankBase& Asrtm::rank_base() const {
+  RankBase& base = rank_base_;
+  if (base.valid) return base;
+  const std::size_t n = knowledge_.size();
+  base.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) base.values[i] = rank_.evaluate(knowledge_, i);
+  const std::size_t terms = rank_.terms.size();
+  base.metric_min.resize(terms);
+  base.metric_max.resize(terms);
+  for (std::size_t t = 0; t < terms; ++t) {
+    const double* means = knowledge_.metric_means(rank_.terms[t].metric);
+    const auto [lo, hi] = std::minmax_element(means, means + n);
+    base.metric_min[t] = *lo;
+    base.metric_max[t] = *hi;
+  }
+  base.in_range =
+      geometric_in_range(rank_, base.metric_min, base.metric_max, nullptr);
+  base.valid = true;
+  static Counter& built =
+      MetricsRegistry::global().counter("asrtm.rank_base_columns_built");
+  built.add(1);
+  return base;
+}
+
+double Asrtm::rank_estimates(const std::vector<unsigned char>& alive,
+                             std::uint64_t& evaluations) const {
+  const std::size_t n = knowledge_.size();
+  const double orient = rank_.direction == RankDirection::kMaximize ? 1.0 : -1.0;
+  double* goodness = scratch_rank_.data();
+  if (rank_.composition == RankComposition::kLinear) {
+    // No pow to save: the exact value is its own zero-width bracket.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (alive[i] == 0) continue;
+      goodness[i] = orient * rank_.evaluate(knowledge_, i, applied_corrections_);
+      ++evaluations;
+    }
+    return 0.0;
+  }
+  // pow(mean * c, w) = pow(mean, w) * pow(c, w): the exact rank factors
+  // into the base column times one per-decision factor, up to rounding.
+  const RankBase& base = rank_base();
+  double factor = 1.0;
+  double weight_sum = 0.0;
+  bool bounded = base.in_range && geometric_in_range(rank_, base.metric_min,
+                                                     base.metric_max,
+                                                     applied_corrections_.data());
+  for (const RankTerm& term : rank_.terms) {
+    const double k = std::pow(applied_corrections_[term.metric], term.weight);
+    factor *= k;
+    weight_sum += std::abs(term.weight);
+    bounded = bounded && in_safe_range(k) && in_safe_range(factor);
+  }
+  const double oriented = orient * factor;  // negation is exact
+  const double* b = base.values.data();
+  for (std::size_t i = 0; i < n; ++i) goodness[i] = b[i] * oriented;
+  static Counter& rows =
+      MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
+  rows.add(n);
+  // Relative error of the exact evaluation vs the estimate, with every
+  // intermediate normal (checked above): the rounding of mean * c is
+  // amplified |w| times by pow, each pow adds <= 2 ulp (4 assumed), and
+  // each multiply one rounding — about (Σ|w| + 15·terms + 1)·2^-53 in
+  // total.  The bound takes 64x that.
+  const double terms = static_cast<double>(rank_.terms.size());
+  const double bound = 64.0 * 0x1p-53 * (weight_sum + 16.0 * terms + 2.0);
+  return bounded && bound <= 0.25 ? bound : -1.0;
 }
 
 std::size_t Asrtm::decide_incremental() const {
@@ -345,30 +441,62 @@ std::size_t Asrtm::decide_incremental() const {
   }
   SOCRATES_ENSURE(alive_count != 0);
 
-  // Rank among the survivors, read from the cached rank column; the
-  // journal's runners-up come from a bounded top-k pass.  The first
-  // alive index seeds the scan and strictly-better comparison keeps the
-  // lowest index on ties, matching the reference exactly.
-  const std::vector<double>& ranks = rank_column();
+  // Rank among the survivors, bound-pruned.  Each survivor gets an
+  // estimate of its *goodness* (the rank, negated when minimizing, so
+  // larger is better either way) whose exact value lies within a factor
+  // (1 +/- bound) of it.  A survivor whose best case falls short of the
+  // k-th best survivor's worst case has k survivors strictly better than
+  // it, so it is neither the winner nor (journal on, k = 1 +
+  // kMaxRejected) a runner-up, even under ties; only the rest are
+  // evaluated exactly.  The first evaluated index seeds the scan and
+  // strictly-better comparison keeps the lowest index on ties, matching
+  // the reference.
   const bool maximize = rank_.direction == RankDirection::kMaximize;
-  std::size_t best = 0;
-  while (alive[best] == 0) ++best;
-  double best_value = ranks[best];
+  const bool linear = rank_.composition == RankComposition::kLinear;
+  scratch_rank_.resize(n);
+  std::uint64_t evaluations = 0;
+  const double bound = rank_estimates(alive, evaluations);
+  const double* goodness = scratch_rank_.data();
+  const std::size_t keep = journal_ ? kMaxRejected + 1 : 1;
+  const double kth = bound < 0.0 ? -kInf : kth_largest(alive, goodness, keep);
+  // A geometric goodness is > 0 when maximizing and < 0 when minimizing,
+  // so the factor that moves it toward "better" flips with the
+  // direction (a linear rank has bound 0: both factors are 1).
+  const double toward = maximize ? 1.0 + bound : 1.0 - bound;
+  const double cutoff = kth * (maximize ? 1.0 - bound : 1.0 + bound);
+
+  std::size_t best = n;
+  double best_value = 0.0;
   TopCandidates top;
-  if (journal_) top.insert({best, best_value}, maximize);
-  for (std::size_t i = best + 1; i < n; ++i) {
-    if (alive[i] == 0) continue;
-    const double value = ranks[i];
+  const auto visit = [&](std::size_t i) {
+    double value = maximize ? goodness[i] : -goodness[i];
+    if (!linear) {
+      value = rank_.evaluate(knowledge_, i, applied_corrections_);
+      ++evaluations;
+    }
     if (journal_) top.insert({i, value}, maximize);
     const bool better = maximize ? value > best_value : value < best_value;
-    if (better) {
+    if (best == n || better) {
       best = i;
       best_value = value;
     }
+  };
+  if (kth == -kInf || std::isnan(kth)) {
+    // No sound cutoff: no bound this decision, fewer than k survivors,
+    // or an unordered (NaN) linear rank.  Evaluate every survivor.
+    for (std::size_t i = 0; i < n; ++i)
+      if (alive[i] != 0) visit(i);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      if (alive[i] != 0 && goodness[i] * toward >= cutoff) visit(i);
   }
+  SOCRATES_ENSURE(best != n);
   static Counter& rows =
       MetricsRegistry::global().counter("asrtm.simd_rows_evaluated");
   rows.add(rows_swept);
+  static Counter& rank_evaluations =
+      MetricsRegistry::global().counter("asrtm.rank_evaluations");
+  rank_evaluations.add(evaluations);
   if (journal_) {
     std::vector<DecisionCandidate> runners;
     runners.reserve(kMaxRejected);
@@ -426,6 +554,9 @@ std::size_t Asrtm::decide_brute() const {
   }
   SOCRATES_ENSURE(!candidates.empty());
 
+  static Counter& rank_evaluations =
+      MetricsRegistry::global().counter("asrtm.rank_evaluations");
+  rank_evaluations.add(candidates.size());
   std::size_t best = candidates.front();
   double best_value = rank_.evaluate(knowledge_, best, corrections_);
   std::vector<DecisionCandidate> scored;
@@ -487,6 +618,7 @@ void Asrtm::set_decision_cache_enabled(bool enabled) {
 void Asrtm::invalidate_decision_cache() {
   for (std::size_t m = 0; m < correction_versions_.size(); ++m)
     ++correction_versions_[m];
+  rank_base_.valid = false;
   touch_decision();
 }
 

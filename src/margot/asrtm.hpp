@@ -33,10 +33,17 @@
 // the knowledge base stores metric columns structure-of-arrays (see
 // operating_point.hpp) and each constraint is applied as dense
 // mask/select passes over a contiguous double column — no per-point
-// indirection, autovectorizable — with a cached rank column feeding the
-// final selection scan.  A brute-force reference implementation of the
-// same semantics is retained behind set_decision_cache_enabled(false)
-// and differential tests assert the two are bit-identical.
+// indirection, autovectorizable.  The rank selection is *bound-pruned*:
+// a geometric rank factors into a correction-free base column
+// (Π mean^w per point, built lazily once per rank) times one
+// per-decision factor Π correction^w, so every survivor gets a cheap
+// estimate that brackets its exact rank within a tiny relative bound.
+// Only the survivors whose bracket reaches the k-th best lower bound
+// (k = 1, or 1 + the journal's runners-up) are evaluated exactly; the
+// rest are provably neither the winner nor a runner-up.  A brute-force
+// reference implementation of the same semantics is retained behind
+// set_decision_cache_enabled(false) and differential tests assert the
+// two are bit-identical.
 #pragma once
 
 #include <atomic>
@@ -153,9 +160,10 @@ class Asrtm {
   void set_decision_cache_enabled(bool enabled);
   bool decision_cache_enabled() const { return cache_enabled_; }
 
-  /// Drops every cached decision artifact (epoch cache and all
-  /// constraint-value columns): the next decision pays the full cold
-  /// cost.  Used by benches and tests to pin the cold/steady gap.
+  /// Drops every cached decision artifact (epoch cache, all
+  /// constraint-value columns and the rank base column): the next
+  /// decision pays the full cold cost.  Used by benches and tests to pin
+  /// the cold/steady gap.
   void invalidate_decision_cache();
 
   // ---- feedback (knowledge adaptation) ---------------------------------
@@ -292,15 +300,17 @@ class Asrtm {
     bool valid = false;
   };
 
-  /// Cached rank value of every operating point under the applied
-  /// corrections, invalidated by set_rank() or by a correction move of
-  /// any metric the rank reads (per-term version tags, like the
-  /// constraint columns).  Lets the selection scan read one contiguous
-  /// double column instead of re-evaluating pow/multiply per candidate
-  /// per decision.
-  struct RankColumn {
-    std::vector<double> values;            ///< one entry per operating point
-    std::vector<std::uint64_t> versions;   ///< one entry per rank term
+  /// Correction-free geometric rank of every operating point,
+  /// B_i = rank_.evaluate(knowledge_, i), plus the per-term metric
+  /// ranges the bound guard reads.  Depends only on the knowledge base
+  /// and the rank, so no feedback invalidates it: it is built by the
+  /// first dirty decision after set_rank() or invalidate_decision_cache()
+  /// and never eagerly.  Unused by linear ranks.
+  struct RankBase {
+    std::vector<double> values;      ///< B_i, one entry per operating point
+    std::vector<double> metric_min;  ///< per rank term: smallest mean
+    std::vector<double> metric_max;  ///< per rank term: largest mean
+    bool in_range = false;  ///< every base intermediate is a safe normal
     bool valid = false;
   };
 
@@ -321,8 +331,17 @@ class Asrtm {
   std::size_t fallback_safest(const std::vector<double>& corrections) const;
   /// The (lazily recomputed) constraint-value column for a constraint.
   const std::vector<double>& constraint_column(std::size_t handle) const;
-  /// The (lazily recomputed) rank-value column over all points.
-  const std::vector<double>& rank_column() const;
+  /// The (lazily built) correction-free rank base column.
+  const RankBase& rank_base() const;
+  /// Fills scratch_rank_ with an estimate of each alive point's
+  /// goodness (its rank, negated when minimizing, so larger is better)
+  /// and returns the estimate's relative error bound: the exact rank
+  /// (bound 0) for a linear rank, B_i * Π correction^w for a geometric
+  /// one.  A negative return means no bound holds this decision (an
+  /// intermediate could leave the normal range), so every alive point
+  /// must be evaluated exactly.
+  double rank_estimates(const std::vector<unsigned char>& alive,
+                        std::uint64_t& evaluations) const;
   /// Records a journal entry when `chosen` differs from the previously
   /// journaled point.  `runners` holds the best non-chosen survivors,
   /// already ordered best-first and trimmed.  Always consumes the
@@ -357,7 +376,7 @@ class Asrtm {
   mutable bool cached_feasible_ = true;
   mutable bool last_decision_cached_ = false;
   mutable std::vector<ConstraintColumn> columns_;  ///< parallel to constraints_
-  mutable RankColumn rank_column_;
+  mutable RankBase rank_base_;
   // Scratch buffers reused across decisions so the dirty path allocates
   // nothing once warm (the clean path allocates nothing at all).  The
   // branchless sweep works on a dense alive mask + violation column
@@ -365,6 +384,7 @@ class Asrtm {
   // entries, which is what lets the compiler vectorize it.
   mutable std::vector<unsigned char> scratch_alive_;
   mutable std::vector<double> scratch_violations_;
+  mutable std::vector<double> scratch_rank_;  ///< per-point rank estimates
   mutable bool last_feasible_ = true;
 #if SOCRATES_ASRTM_REENTRANCY_GUARD
   // Trips a ContractViolation when two calls overlap on one instance

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -258,6 +259,11 @@ CheckpointStore::Options CheckpointStore::Options::from_env(Options base) {
 }
 
 CheckpointStore::CheckpointStore(std::string path, Options options)
+    : CheckpointStore(std::move(path), options, DirectorySwept{}) {
+  sweep_stale_tmps();
+}
+
+CheckpointStore::CheckpointStore(std::string path, Options options, DirectorySwept)
     : path_(std::move(path)),
       options_(options),
       anchor_(std::chrono::steady_clock::now()) {
@@ -270,7 +276,12 @@ CheckpointStore::CheckpointStore(std::string path, Options options)
   if (options_.probe_base_s <= 0.0) options_.probe_base_s = 0.05;
   if (options_.probe_max_s < options_.probe_base_s)
     options_.probe_max_s = options_.probe_base_s;
-  sweep_stale_tmps();
+  // The owner swept the directory before any of its stores existed, so
+  // the only tmp that can have appeared since is one a store of this
+  // process left behind (an injected crash), and its name is known.
+  std::error_code ec;
+  if (std::filesystem::remove(path_ + ".tmp." + std::to_string(::getpid()), ec))
+    MetricsRegistry::global().counter("checkpoint.tmp_files_swept").add(1);
 }
 
 CheckpointStore::~CheckpointStore() {
@@ -295,30 +306,53 @@ std::string CheckpointStore::journal_path(std::size_t generation) const {
   return generation == 0 ? base : base + "." + std::to_string(generation);
 }
 
+namespace {
+
+/// Removes every entry of `dir` whose name `is_stale` accepts.
+std::size_t remove_matching(const std::filesystem::path& dir,
+                            const std::function<bool(const std::string&)>& is_stale) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::directory_iterator it(dir, ec), end;
+  std::size_t swept = 0;
+  for (; !ec && it != end; it.increment(ec)) {
+    if (!is_stale(it->path().filename().string())) continue;
+    std::error_code rec;
+    if (fs::remove(it->path(), rec)) ++swept;
+  }
+  if (swept > 0)
+    MetricsRegistry::global().counter("checkpoint.tmp_files_swept").add(swept);
+  return swept;
+}
+
+}  // namespace
+
 void CheckpointStore::sweep_stale_tmps() {
   // A crash between "write tmp" and "rename into place" leaks
   // <path>.tmp.<pid>.  No live writer exists at construction time (the
   // store is single-owner and writes its own pid), so anything matching
   // is garbage from a dead process.
-  namespace fs = std::filesystem;
-  const fs::path snapshot(path_);
-  fs::path dir = snapshot.parent_path();
+  const std::filesystem::path snapshot(path_);
+  std::filesystem::path dir = snapshot.parent_path();
   if (dir.empty()) dir = ".";
   const std::string prefix = snapshot.filename().string() + ".tmp.";
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec), end;
-  std::size_t swept = 0;
-  for (; !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind(prefix, 0) != 0) continue;
-    std::error_code rec;
-    if (fs::remove(it->path(), rec)) ++swept;
-  }
-  if (swept > 0) {
+  const std::size_t swept = remove_matching(
+      dir, [&](const std::string& name) { return name.rfind(prefix, 0) == 0; });
+  if (swept > 0)
     log_info() << "checkpoint: swept " << swept
                << " stale tmp snapshot(s) next to " << path_;
-    MetricsRegistry::global().counter("checkpoint.tmp_files_swept").add(swept);
-  }
+}
+
+std::size_t CheckpointStore::sweep_directory(const std::string& dir) {
+  const std::size_t swept = remove_matching(dir, [](const std::string& name) {
+    const std::size_t at = name.rfind(".tmp.");
+    if (at == std::string::npos || at + 5 == name.size()) return false;
+    return std::all_of(name.begin() + static_cast<std::ptrdiff_t>(at + 5), name.end(),
+                       [](char c) { return c >= '0' && c <= '9'; });
+  });
+  if (swept > 0)
+    log_info() << "checkpoint: swept " << swept << " stale tmp file(s) in " << dir;
+  return swept;
 }
 
 double CheckpointStore::now_s() const {

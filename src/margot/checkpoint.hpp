@@ -132,6 +132,17 @@ class CheckpointStore {
   /// `path`.tmp.<pid> files left by dead processes are swept here.
   explicit CheckpointStore(std::string path) : CheckpointStore(std::move(path), Options{}) {}
   CheckpointStore(std::string path, Options options);
+  /// For an owner that already ran sweep_directory() over the snapshot
+  /// directory: construction then removes only the tmp this process may
+  /// have left at `path` (an injected crash) and never lists the
+  /// directory, so N stores in one directory cost one listing, not N.
+  struct DirectorySwept {};
+  CheckpointStore(std::string path, Options options, DirectorySwept);
+
+  /// Removes every stale `*.tmp.<pid>` snapshot file in `dir` and
+  /// returns how many.  Call it only while no store or pool of this
+  /// process writes into `dir` (e.g. when the owner opens it).
+  static std::size_t sweep_directory(const std::string& dir);
   /// Uninstalls the sink WITHOUT a final snapshot: destruction is
   /// crash-equivalent, the journal carries the state.  Call detach()
   /// for a clean shutdown.

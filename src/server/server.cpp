@@ -126,6 +126,11 @@ Server::Server(ServerOptions options)
       log_warn() << "server: cannot create checkpoint dir " << options_.checkpoint_dir
                  << ": " << ec.message() << " — persistence disabled";
       options_.checkpoint_dir.clear();
+    } else {
+      // One listing for the whole directory, before any store or the
+      // pool of this process can be writing a tmp; each tenant store is
+      // then built DirectorySwept and never lists it again.
+      margot::CheckpointStore::sweep_directory(options_.checkpoint_dir);
     }
   }
   if (options_.share_knowledge) {
@@ -196,7 +201,7 @@ void Server::build_tenant_runtime(Tenant& tenant) {
     copts.probe_max_s = options_.checkpoint_probe_max_s;
     copts.journal_max_bytes = options_.checkpoint_journal_max_bytes;
     auto store = std::make_unique<margot::CheckpointStore>(
-        checkpoint_path(tenant.name), copts);
+        checkpoint_path(tenant.name), copts, margot::CheckpointStore::DirectorySwept{});
     store->attach(*asrtm);
     tenant.store = std::move(store);
   }

@@ -184,7 +184,6 @@ bool Pipeline::ensure_cobayn() {
     try {
       std::istringstream in(*payload);
       cobayn_.push_back(cobayn::CobaynModel::load(in));
-      cobayn_from_cache_ = true;
       log_info() << "COBAYN model loaded from artifact cache";
       return true;
     } catch (const ContractViolation& e) {
@@ -200,7 +199,6 @@ bool Pipeline::ensure_cobayn() {
   std::ostringstream out;
   cobayn_.front().save(out);
   cache_->store(key, "cobayn-model", out.str());
-  cobayn_from_cache_ = false;
   return false;
 }
 

@@ -77,7 +77,10 @@ struct AdaptiveBinary {
 /// One executed pipeline stage.
 struct StageReport {
   std::string name;  ///< Parse, Features, CobaynPredict, Dse, Prune, Weave, Knowledge
-  bool cache_hit = false;  ///< product served from the artifact cache
+  /// Product served without recomputation: loaded from the artifact
+  /// cache, or (CobaynPredict only) a model this Pipeline already held
+  /// in-process — there it means "no training in this call".
+  bool cache_hit = false;
   double seconds = 0.0;    ///< wall-clock time of the stage (incl. retries)
   std::size_t attempts = 1;        ///< supervisor attempts the stage took
   bool fallback = false;           ///< degraded product was substituted
@@ -179,7 +182,9 @@ class Pipeline {
   AdaptiveBinary build_impl(const std::string& name, const std::string& source,
                             const platform::KernelModelParams& params,
                             double work_scale);
-  /// Trains or cache-loads the model; true when it came from the cache.
+  /// Trains or cache-loads the model.  True when this call trained
+  /// nothing: the model was already held in-process or was loaded from
+  /// the artifact cache (reported as the CobaynPredict `cache_hit`).
   bool ensure_cobayn();
   /// Cache-through exploration.  `evaluated` counts unique points the
   /// strategy spent budget on (points.size() on a cache hit).
@@ -212,7 +217,6 @@ class Pipeline {
   TaskPool pool_;
   Supervisor supervisor_;
   std::vector<cobayn::CobaynModel> cobayn_;  ///< 0 or 1 element (late init)
-  bool cobayn_from_cache_ = false;
   PipelineReport report_;
 };
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -624,6 +625,32 @@ TEST_F(ServerTest, CrashAndResumeRecoversEveryTenant) {
       EXPECT_LE(asrtm.correction(0), corrections[t]);
     });
   }
+}
+
+TEST_F(ServerTest, OpeningTheCheckpointDirSweepsStaleTmpsOnce) {
+  const fs::path ckpt = dir_ / "ckpt";
+  fs::create_directories(ckpt);
+  const auto touch = [](const fs::path& path) { std::ofstream(path) << "torn"; };
+  touch(ckpt / "alpha.ckpt.tmp.99999");
+  touch(ckpt / "knowledge_pool.kp.tmp.4242");
+  touch(ckpt / "notes.tmp.txt");  // not a <name>.tmp.<pid> file
+  touch(ckpt / "keep.me");
+  ServerOptions options = base_options();
+  options.checkpoint_dir = ckpt.string();
+  Server server(options);
+  EXPECT_FALSE(fs::exists(ckpt / "alpha.ckpt.tmp.99999"));
+  EXPECT_FALSE(fs::exists(ckpt / "knowledge_pool.kp.tmp.4242"));
+  EXPECT_TRUE(fs::exists(ckpt / "notes.tmp.txt"));
+  EXPECT_TRUE(fs::exists(ckpt / "keep.me"));
+
+  // Registration no longer lists the directory: it only removes the tmp
+  // a store of this process may have left at the tenant's own path.
+  const std::string own_tmp = "alpha.ckpt.tmp." + std::to_string(::getpid());
+  touch(ckpt / own_tmp);
+  touch(ckpt / "alpha.ckpt.tmp.77777");
+  ASSERT_TRUE(server.create_tenant("alpha", make_kb(), configure_min_time).created);
+  EXPECT_FALSE(fs::exists(ckpt / own_tmp));
+  EXPECT_TRUE(fs::exists(ckpt / "alpha.ckpt.tmp.77777"));
 }
 
 TEST_F(ServerTest, CheckpointAllMakesShutdownLossless) {
