@@ -26,9 +26,19 @@
 // ratio >= 1.0, and a pruned clone set strictly below the 16-clone
 // cross product.  `--quick` runs a two-kernel subset (the dse-bench-smoke
 // CTest entry).
+//
+// It also pins the cost of the measurement layer the sweep runs on,
+// with machine-independent counts the baseline gates: allocations of
+// the 512 noise-free model evaluations (none), allocations per point of
+// a serial full-factorial sweep plus its profile text, and the knob
+// rows the knowledge base's duplicate check compares per added point.
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -43,6 +53,22 @@
 #include "support/statistics.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/task_pool.hpp"
+
+// Process-wide allocation counter backing the model-path allocation
+// counts.
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -114,6 +140,52 @@ std::vector<dse::ProfiledPoint> true_values(const platform::PerformanceModel& mo
 
 }  // namespace
 
+/// Machine-independent cost of the measurement layer (see the header).
+struct ModelPathCost {
+  std::uint64_t evaluate_allocs = 0;     ///< all noise-free evaluate() calls
+  double full_allocs_per_point = 0.0;    ///< serial sweep + save_profile
+  double add_row_compares_per_point = 0.0;  ///< KB duplicate check
+};
+
+ModelPathCost measure_model_path(const platform::PerformanceModel& model,
+                                 const dse::DesignSpace& space, std::size_t repetitions,
+                                 std::uint64_t seed) {
+  const auto& kernel = kernels::find_benchmark("2mm").model;
+  ModelPathCost cost;
+
+  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  double sink = 0.0;
+  for (const auto& config : space.configs)
+    for (const std::size_t threads : space.thread_counts)
+      for (const auto binding : space.bindings)
+        sink += model.evaluate(kernel, {config.config, threads, binding}).exec_time_s;
+  cost.evaluate_allocs = g_allocations.load(std::memory_order_relaxed) - before;
+
+  TaskPool serial(1);
+  before = g_allocations.load(std::memory_order_relaxed);
+  const auto profile =
+      dse::full_factorial_dse(model, kernel, space, repetitions, seed, 1.0, &serial);
+  sink += static_cast<double>(dse::save_profile(profile).size());
+  cost.full_allocs_per_point =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before) /
+      static_cast<double>(profile.size());
+
+  // Rebuild the knowledge base point by point, counting the rows each
+  // add's duplicate check compares before the point goes in.
+  const auto full_kb = dse::to_knowledge_base(profile);
+  margot::KnowledgeBase kb(full_kb.knob_names(), full_kb.metric_names());
+  std::uint64_t compares = 0;
+  for (std::size_t i = 0; i < full_kb.size(); ++i) {
+    margot::OperatingPoint op = full_kb[i];
+    compares += kb.find_row_compares(op.knobs);
+    kb.add(std::move(op));
+  }
+  cost.add_row_compares_per_point =
+      static_cast<double>(compares) / static_cast<double>(full_kb.size());
+  if (sink < 0.0) std::printf("%g\n", sink);  // keeps the loops observable
+  return cost;
+}
+
 int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i)
@@ -155,9 +227,23 @@ int main(int argc, char** argv) {
   std::size_t clone_set_max = 0, representatives_max = 0;
   std::vector<double> two_regrets;
 
+  const ModelPathCost model_cost = measure_model_path(model, space, kRepetitions, kSeed);
+
   JsonWriter json;
   json.begin_object();
   json.kv("space", static_cast<std::uint64_t>(space.size()));
+  json.key("model");
+  json.begin_object();
+  json.kv("evaluate_allocs", model_cost.evaluate_allocs);
+  json.end_object();
+  json.key("full");
+  json.begin_object();
+  json.kv("allocs_per_point", model_cost.full_allocs_per_point);
+  json.end_object();
+  json.key("knowledge");
+  json.begin_object();
+  json.kv("add_row_compares_per_point", model_cost.add_row_compares_per_point);
+  json.end_object();
   json.kv("repetitions", static_cast<std::uint64_t>(kRepetitions));
   json.kv("prune_cap", static_cast<std::uint64_t>(kPrune));
   json.kv("benchmarks", static_cast<std::uint64_t>(benchmarks.size()));
@@ -281,6 +367,11 @@ int main(int argc, char** argv) {
               two_stats.evaluated_max, space.size(), reduction_min, true_ratio_min,
               pruned_ratio_min, two_stats.hv_ratio_min, 100.0 * mean_of(two_regrets),
               clone_set_max);
+  std::printf("Model path: %llu allocations over %zu noise-free evaluations; "
+              "%.2f allocations per point of a serial sweep + profile text; "
+              "%.2f knob-row compares per knowledge-base add.\n",
+              static_cast<unsigned long long>(model_cost.evaluate_allocs), space.size(),
+              model_cost.full_allocs_per_point, model_cost.add_row_compares_per_point);
 
   bool ok = true;
   if (reduction_min < 10.0) {

@@ -1,9 +1,8 @@
 #include "dse/dse.hpp"
 
 #include <algorithm>
-#include <istream>
+#include <charconv>
 #include <limits>
-#include <ostream>
 
 #include "support/error.hpp"
 #include "support/serialize.hpp"
@@ -32,10 +31,13 @@ ProfiledPoint profile_point(const platform::PerformanceModel& model,
   p.configuration =
       platform::Configuration{space.configs[config_index].config, threads, binding};
 
+  // The repetitions differ only in their noise draws: evaluate the
+  // model once, then draw one (time, power) noise pair per run.
+  const auto expected = model.expected(kernel, p.configuration, work_scale);
   RunningStats time_stats;
   RunningStats power_stats;
   for (std::size_t r = 0; r < repetitions; ++r) {
-    const auto m = model.evaluate(kernel, p.configuration, &noise, work_scale);
+    const auto m = model.with_noise(expected, noise);
     time_stats.add(m.exec_time_s);
     power_stats.add(m.avg_power_w);
   }
@@ -46,43 +48,115 @@ ProfiledPoint profile_point(const platform::PerformanceModel& model,
   return p;
 }
 
-void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points) {
-  out << "profile v1 " << points.size() << '\n';
-  for (const auto& p : points) {
-    // Config names ("O3", "CF1", ...) never contain whitespace.
-    out << p.config_index << ' ' << p.config_name << ' '
-        << static_cast<int>(p.configuration.flags.level()) << ' '
-        << p.configuration.flags.flag_bits() << ' ' << p.configuration.threads << ' '
-        << (p.configuration.binding == platform::BindingPolicy::kClose ? 0 : 1) << ' '
-        << format_exact(p.exec_time_mean_s) << ' ' << format_exact(p.exec_time_stddev_s)
-        << ' ' << format_exact(p.power_mean_w) << ' ' << format_exact(p.power_stddev_w)
-        << '\n';
-  }
+namespace {
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
 }
 
-std::vector<ProfiledPoint> load_profile(std::istream& in) {
-  std::string magic, version;
-  std::size_t count = 0;
-  in >> magic >> version >> count;
-  SOCRATES_REQUIRE_MSG(in && magic == "profile" && version == "v1",
+// One-pass tokenizer over a profile payload: tokens are runs of
+// non-whitespace separated by any whitespace (the grammar `istream >>`
+// read before).  Every malformed field throws ContractViolation.
+class ProfileReader {
+ public:
+  explicit ProfileReader(std::string_view text) : rest_(text) {}
+
+  std::string_view token() {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_space(rest_[j])) ++j;
+    SOCRATES_REQUIRE_MSG(j > i, "truncated profile artifact");
+    const std::string_view out = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return out;
+  }
+
+  /// Unsigned decimal in [0, max]; signs are rejected.
+  template <typename T>
+  T integer(T max = std::numeric_limits<T>::max()) {
+    const std::string_view text = token();
+    T v{};
+    const auto res = std::from_chars(text.data(), text.data() + text.size(), v);
+    SOCRATES_REQUIRE_MSG(res.ec == std::errc{} && res.ptr == text.data() + text.size() &&
+                             v <= max,
+                         "malformed profile field '" << text << "'");
+    return v;
+  }
+
+  double exact() { return parse_exact_text(token()); }
+
+  std::size_t remaining() const { return rest_.size(); }
+
+ private:
+  static bool is_space(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+  }
+
+  std::string_view rest_;
+};
+
+// A point is ten tokens of at least one character each.
+constexpr std::size_t kMinPointChars = 10;
+
+}  // namespace
+
+std::string save_profile(const std::vector<ProfiledPoint>& points) {
+  std::string out;
+  out.reserve(24 + points.size() * 112);
+  out += "profile v1 ";
+  append_uint(out, points.size());
+  out += '\n';
+  for (const auto& p : points) {
+    // Config names ("O3", "CF1", ...) never contain whitespace.
+    append_uint(out, p.config_index);
+    out += ' ';
+    out += p.config_name;
+    out += ' ';
+    append_uint(out, static_cast<unsigned>(p.configuration.flags.level()));
+    out += ' ';
+    append_uint(out, p.configuration.flags.flag_bits());
+    out += ' ';
+    append_uint(out, p.configuration.threads);
+    out += p.configuration.binding == platform::BindingPolicy::kClose ? " 0 " : " 1 ";
+    append_exact(out, p.exec_time_mean_s);
+    out += ' ';
+    append_exact(out, p.exec_time_stddev_s);
+    out += ' ';
+    append_exact(out, p.power_mean_w);
+    out += ' ';
+    append_exact(out, p.power_stddev_w);
+    out += '\n';
+  }
+  return out;
+}
+
+std::vector<ProfiledPoint> load_profile(std::string_view text) {
+  ProfileReader in(text);
+  SOCRATES_REQUIRE_MSG(in.token() == "profile" && in.token() == "v1",
                        "not a profile artifact");
+  const auto count = in.integer<std::size_t>();
+  SOCRATES_REQUIRE_MSG(count <= in.remaining() / kMinPointChars,
+                       "profile artifact claims " << count << " points in "
+                                                  << in.remaining() << " bytes");
   std::vector<ProfiledPoint> points(count);
   for (auto& p : points) {
-    int level = 0, binding = 0;
-    unsigned bits = 0;
-    in >> p.config_index >> p.config_name >> level >> bits >> p.configuration.threads >>
-        binding;
-    SOCRATES_REQUIRE_MSG(in && level >= 0 && level <= 3 && bits < 64 &&
-                             (binding == 0 || binding == 1),
-                         "malformed profile point");
+    p.config_index = in.integer<std::size_t>();
+    p.config_name = in.token();
+    const auto level = in.integer<unsigned>(3);
+    const auto bits = in.integer<unsigned>(63);
+    p.configuration.threads = in.integer<std::size_t>();
+    const auto binding = in.integer<unsigned>(1);
     p.configuration.flags =
         platform::FlagConfig(static_cast<platform::OptLevel>(level), bits);
     p.configuration.binding = binding == 0 ? platform::BindingPolicy::kClose
                                            : platform::BindingPolicy::kSpread;
-    p.exec_time_mean_s = parse_exact(in);
-    p.exec_time_stddev_s = parse_exact(in);
-    p.power_mean_w = parse_exact(in);
-    p.power_stddev_w = parse_exact(in);
+    p.exec_time_mean_s = in.exact();
+    p.exec_time_stddev_s = in.exact();
+    p.power_mean_w = in.exact();
+    p.power_stddev_w = in.exact();
   }
   return points;
 }

@@ -18,8 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "margot/operating_point.hpp"
@@ -80,13 +80,17 @@ std::vector<ProfiledPoint> full_factorial_dse(const platform::PerformanceModel& 
                                               double work_scale = 1.0,
                                               TaskPool* pool = nullptr);
 
-/// Writes a profile in the artifact-cache text format (hexfloat
-/// doubles, exact round trip).
-void save_profile(std::ostream& out, const std::vector<ProfiledPoint>& points);
+/// The profile in the artifact-cache text format: a "profile v1 <n>"
+/// header, then one line per point (config index, name, level, flag
+/// bits, threads, binding, then the four statistics as hexfloats —
+/// exact round trip).
+std::string save_profile(const std::vector<ProfiledPoint>& points);
 
 /// Parses a profile written by save_profile().  Throws
-/// ContractViolation on malformed input.
-std::vector<ProfiledPoint> load_profile(std::istream& in);
+/// ContractViolation on malformed input: a bad header, a point count
+/// the payload cannot hold, a signed or out-of-range integer field, or
+/// a malformed double.
+std::vector<ProfiledPoint> load_profile(std::string_view text);
 
 /// Indices of the Pareto-optimal points (ascending): maximize
 /// throughput, minimize power.  A point is dominated when another point

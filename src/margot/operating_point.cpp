@@ -1,10 +1,25 @@
 #include "margot/operating_point.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "support/error.hpp"
 
 namespace socrates::margot {
+
+namespace {
+
+std::uint64_t hash_row(const int* row, std::size_t count) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t k = 0; k < count; ++k) {
+    h ^= static_cast<std::uint32_t>(row[k]);
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
 
 KnowledgeBase::KnowledgeBase(std::vector<std::string> knob_names,
                              std::vector<std::string> metric_names)
@@ -26,6 +41,7 @@ KnowledgeBase& KnowledgeBase::operator=(const KnowledgeBase& other) {
     means_ = nullptr;
     stddevs_ = nullptr;
     knobs_ = nullptr;
+    index_ = nullptr;
     size_ = 0;
     capacity_ = 0;
     copy_from(other);
@@ -35,7 +51,8 @@ KnowledgeBase& KnowledgeBase::operator=(const KnowledgeBase& other) {
 
 void KnowledgeBase::copy_from(const KnowledgeBase& other) {
   if (other.size_ == 0) return;
-  grow(other.size_);
+  // Same capacity as `other`, so its index slots are valid here as is.
+  grow(other.capacity_);
   const std::size_t metrics = metric_names_.size();
   const std::size_t knobs = knob_names_.size();
   for (std::size_t m = 0; m < metrics; ++m) {
@@ -45,6 +62,7 @@ void KnowledgeBase::copy_from(const KnowledgeBase& other) {
                 other.size_ * sizeof(double));
   }
   std::memcpy(knobs_, other.knobs_, other.size_ * knobs * sizeof(int));
+  std::memcpy(index_, other.index_, 2 * capacity_ * sizeof(std::uint32_t));
   size_ = other.size_;
 }
 
@@ -57,10 +75,12 @@ void KnowledgeBase::grow(std::size_t min_capacity) {
   const std::size_t column_bytes = capacity * sizeof(double);
   support::Arena arena(support::Arena::bytes_for(
       metrics * column_bytes, metrics * column_bytes,
-      capacity * knobs * sizeof(int)));
+      capacity * knobs * sizeof(int), 2 * capacity * sizeof(std::uint32_t)));
   double* means = arena.allocate<double>(metrics * capacity);
   double* stddevs = arena.allocate<double>(metrics * capacity);
   int* knob_block = arena.allocate<int>(capacity * knobs);
+  std::uint32_t* index = arena.allocate<std::uint32_t>(2 * capacity);
+  std::memset(index, 0, 2 * capacity * sizeof(std::uint32_t));
 
   for (std::size_t m = 0; m < metrics && size_ > 0; ++m) {
     std::memcpy(means + m * capacity, means_ + m * capacity_,
@@ -75,7 +95,22 @@ void KnowledgeBase::grow(std::size_t min_capacity) {
   means_ = means;
   stddevs_ = stddevs;
   knobs_ = knob_block;
+  index_ = index;
   capacity_ = capacity;
+  for (std::size_t i = 0; i < size_; ++i)
+    index_[probe(knob_row(i), nullptr)] = static_cast<std::uint32_t>(i + 1);
+}
+
+std::size_t KnowledgeBase::probe(const int* row, std::size_t* compares) const {
+  const std::size_t count = knob_names_.size();
+  const std::size_t mask = 2 * capacity_ - 1;
+  std::size_t slot = hash_row(row, count) & mask;
+  while (index_[slot] != 0) {
+    if (compares != nullptr) ++*compares;
+    if (std::memcmp(knob_row(index_[slot] - 1), row, count * sizeof(int)) == 0) break;
+    slot = (slot + 1) & mask;
+  }
+  return slot;
 }
 
 std::size_t KnowledgeBase::knob_index(const std::string& name) const {
@@ -102,11 +137,13 @@ void KnowledgeBase::add(OperatingPoint op) {
                                               << metric_names_.size());
   for (const auto& m : op.metrics) SOCRATES_REQUIRE(m.stddev >= 0.0);
   SOCRATES_REQUIRE_MSG(!find(op.knobs).has_value(), "duplicate operating point");
+  SOCRATES_REQUIRE(size_ < std::numeric_limits<std::uint32_t>::max());
 
   if (size_ == capacity_) grow(size_ + 1);
   const std::size_t i = size_;
   std::memcpy(knobs_ + i * knob_names_.size(), op.knobs.data(),
               op.knobs.size() * sizeof(int));
+  index_[probe(op.knobs.data(), nullptr)] = static_cast<std::uint32_t>(i + 1);
   for (std::size_t m = 0; m < op.metrics.size(); ++m) {
     means_[m * capacity_ + i] = op.metrics[m].mean;
     stddevs_[m * capacity_ + i] = op.metrics[m].stddev;
@@ -120,12 +157,17 @@ KnowledgeBase::PointView KnowledgeBase::operator[](std::size_t i) const {
 }
 
 std::optional<std::size_t> KnowledgeBase::find(const std::vector<int>& knobs) const {
-  const std::size_t count = knob_names_.size();
-  if (knobs.size() != count) return std::nullopt;
-  for (std::size_t i = 0; i < size_; ++i)
-    if (std::memcmp(knob_row(i), knobs.data(), count * sizeof(int)) == 0)
-      return i;
-  return std::nullopt;
+  if (knobs.size() != knob_names_.size() || size_ == 0) return std::nullopt;
+  const std::uint32_t entry = index_[probe(knobs.data(), nullptr)];
+  if (entry == 0) return std::nullopt;
+  return entry - 1;
+}
+
+std::size_t KnowledgeBase::find_row_compares(const std::vector<int>& knobs) const {
+  if (knobs.size() != knob_names_.size() || size_ == 0) return 0;
+  std::size_t compares = 0;
+  probe(knobs.data(), &compares);
+  return compares;
 }
 
 }  // namespace socrates::margot

@@ -9,8 +9,10 @@
 // SOCRATES layer maps them back to FlagConfig / thread count / binding.
 //
 // Storage is structure-of-arrays in one arena block: each metric's
-// means (and stddevs) form a contiguous, 64-byte-aligned column, and
-// knob rows sit in one flat int block.  The AS-RTM's branchless
+// means (and stddevs) form a contiguous, 64-byte-aligned column, knob
+// rows sit in one flat int block, and an open-addressing index over
+// the knob rows (2 slots per point of capacity) makes find() and the
+// duplicate check of add() O(1) expected.  The AS-RTM's branchless
 // decision sweeps stream over the columns via metric_means() /
 // metric_stddevs(); everything else goes through the view types below,
 // which preserve the original `kb[i].knobs` / `kb[i].metrics[m].mean`
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -174,7 +177,13 @@ class KnowledgeBase {
   PointRange points() const { return PointRange{this}; }
 
   /// Index of the point with exactly these knob values, if any.
+  /// O(1) expected (hash index over the knob rows); const and free of
+  /// hidden state, so concurrent readers need no lock.
   std::optional<std::size_t> find(const std::vector<int>& knobs) const;
+
+  /// Knob rows find(knobs) compares before it answers (observability:
+  /// the DSE bench pins the index's probe cost per point).
+  std::size_t find_row_compares(const std::vector<int>& knobs) const;
 
   // --- SoA hot-path accessors -------------------------------------------
   // Contiguous columns of size() entries; the pointers stay valid until
@@ -195,9 +204,13 @@ class KnowledgeBase {
 
  private:
   /// Re-packs all columns into a fresh arena holding >= min_capacity
-  /// points (capacity stays a power of two so columns stay aligned).
+  /// points (capacity stays a power of two so columns stay aligned)
+  /// and rebuilds the knob index for the new capacity.
   void grow(std::size_t min_capacity);
   void copy_from(const KnowledgeBase& other);
+  /// Index slot holding `row`, or the empty slot where it would go.
+  /// `compares` (optional) counts the rows compared on the way.
+  std::size_t probe(const int* row, std::size_t* compares) const;
 
   std::vector<std::string> knob_names_;
   std::vector<std::string> metric_names_;
@@ -205,6 +218,8 @@ class KnowledgeBase {
   double* means_ = nullptr;    ///< metric-major: column m at means_ + m*capacity_
   double* stddevs_ = nullptr;  ///< metric-major, parallel to means_
   int* knobs_ = nullptr;       ///< point-major rows of knob_names_.size() ints
+  /// Linear-probing table of 2*capacity_ slots: point index + 1, 0 = empty.
+  std::uint32_t* index_ = nullptr;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "support/error.hpp"
 
@@ -22,19 +21,36 @@ PerformanceModel PerformanceModel::paper_platform() {
   return PerformanceModel(MachineTopology::xeon_e5_2630_v3(), MachinePowerModel{});
 }
 
-Measurement PerformanceModel::evaluate(const KernelModelParams& kernel,
-                                       const Configuration& config, Rng* noise,
+namespace {
+
+// Threads place_threads() puts on core (socket, core): it visits the
+// cores in a fixed order (close: socket-major, spread: core-major) and
+// hands out one hardware-thread slot per core per round, so the core at
+// visit position v receives one thread for every round k with
+// k * physical_cores + v < threads.  Closed form of that count, so the
+// model needs no placement vector.
+std::size_t threads_on_core(const MachineTopology& topology, std::size_t threads,
+                            BindingPolicy binding, std::size_t socket, std::size_t core) {
+  const std::size_t visit = binding == BindingPolicy::kClose
+                                ? socket * topology.cores_per_socket + core
+                                : core * topology.sockets + socket;
+  if (visit >= threads) return 0;
+  const std::size_t rounds = (threads - visit - 1) / topology.physical_cores() + 1;
+  return std::min(rounds, topology.threads_per_core);
+}
+
+}  // namespace
+
+Measurement PerformanceModel::expected(const KernelModelParams& kernel,
+                                       const Configuration& config,
                                        double work_scale) const {
   SOCRATES_REQUIRE(work_scale > 0.0);
   SOCRATES_REQUIRE(config.threads >= 1);
   SOCRATES_REQUIRE(config.threads <= topology_.logical_cores());
 
-  const auto placement = place_threads(topology_, config.threads, config.binding);
-
-  // Per-socket active-core and two-thread-core counts.
-  std::vector<std::vector<std::size_t>> per_core(
-      topology_.sockets, std::vector<std::size_t>(topology_.cores_per_socket, 0));
-  for (const auto& p : placement) ++per_core[p.socket][p.core];
+  const auto threads_on = [&](std::size_t s, std::size_t c) {
+    return threads_on_core(topology_, config.threads, config.binding, s, c);
+  };
 
   const double s_flag = compute_speedup(kernel, config.flags);
   const double p_flag = core_power_factor(kernel, config.flags);
@@ -48,32 +64,32 @@ Measurement PerformanceModel::evaluate(const KernelModelParams& kernel,
         span == 0.0 ? 0.0 : 1.0 - (static_cast<double>(active_cores) - 1.0) / span;
     return 1.0 + machine_.turbo_headroom * idle_share;
   };
+  const auto active_cores = [&](std::size_t s) {
+    std::size_t active = 0;
+    for (std::size_t c = 0; c < topology_.cores_per_socket; ++c)
+      if (threads_on(s, c) > 0) ++active;
+    return active;
+  };
 
   // Effective compute capability E (in single-core base-frequency
   // units) and bandwidth-pull capability (in core_bw units).
   double compute_capability = 0.0;
   double bw_pull_cores = 0.0;
   std::size_t sockets_used = 0;
-  std::size_t cores_used = 0;
-  std::size_t cores_with_two = 0;
   double aggregate_bw = 0.0;
-  std::vector<double> socket_turbo(topology_.sockets, 1.0);
   for (std::size_t s = 0; s < topology_.sockets; ++s) {
     std::size_t active = 0;
     double socket_compute = 0.0;
     for (std::size_t c = 0; c < topology_.cores_per_socket; ++c) {
-      const std::size_t n = per_core[s][c];
+      const std::size_t n = threads_on(s, c);
       if (n == 0) continue;
       ++active;
       socket_compute += n >= 2 ? 1.0 + machine_.ht_throughput_gain : 1.0;
       bw_pull_cores += n >= 2 ? 1.0 + machine_.ht_bw_gain : 1.0;
-      if (n >= 2) ++cores_with_two;
     }
     if (active == 0) continue;
     ++sockets_used;
-    cores_used += active;
-    socket_turbo[s] = turbo_factor(active);
-    compute_capability += socket_compute * socket_turbo[s];
+    compute_capability += socket_compute * turbo_factor(active);
     aggregate_bw += machine_.socket_bw_gbs;
   }
   SOCRATES_ENSURE(compute_capability > 0.0);
@@ -103,7 +119,7 @@ Measurement PerformanceModel::evaluate(const KernelModelParams& kernel,
   const double t_mem_par = memory_work * fp / bw_scale;
   const double t_par = t_comp_par + t_mem_par;
 
-  double exec_time = t_serial + t_par;
+  const double exec_time = t_serial + t_par;
 
   // ---- power ------------------------------------------------------------
   // Core "busy" share: fraction of the parallel phase spent computing
@@ -116,15 +132,23 @@ Measurement PerformanceModel::evaluate(const KernelModelParams& kernel,
     return dynamic * duty * (two_threads ? 1.0 + machine_.ht_power_bonus : 1.0);
   };
 
-  // Parallel-phase power.
+  // Parallel-phase power.  core_power depends on the core only through
+  // its socket's turbo and whether it runs two threads, so it is
+  // evaluated once per (socket, one/two threads) and summed per core in
+  // placement order.
   const double par_busy = t_par > 0.0 ? t_comp_par / t_par : 1.0;
   double p_parallel = machine_.idle_power_w +
                       machine_.socket_active_w * static_cast<double>(sockets_used);
   for (std::size_t s = 0; s < topology_.sockets; ++s) {
+    const std::size_t active = active_cores(s);
+    if (active == 0) continue;
+    const double turbo = turbo_factor(active);
+    const double one_thread = core_power(par_busy, turbo, false);
+    const double two_threads = core_power(par_busy, turbo, true);
     for (std::size_t c = 0; c < topology_.cores_per_socket; ++c) {
-      const std::size_t n = per_core[s][c];
+      const std::size_t n = threads_on(s, c);
       if (n == 0) continue;
-      p_parallel += core_power(par_busy, socket_turbo[s], n >= 2);
+      p_parallel += n >= 2 ? two_threads : one_thread;
     }
   }
   const double achieved_bw =
@@ -138,21 +162,30 @@ Measurement PerformanceModel::evaluate(const KernelModelParams& kernel,
                     core_power(ser_busy, single_turbo, false);
   p_serial += machine_.dram_w_per_gbs * machine_.core_bw_gbs * (1.0 - ser_busy);
 
-  double avg_power = exec_time > 0.0
-                         ? (p_parallel * t_par + p_serial * t_serial) / exec_time
-                         : p_serial;
-
-  // ---- measurement noise --------------------------------------------------
-  if (noise != nullptr) {
-    exec_time *= noise->lognormal_factor(time_noise_sigma_);
-    avg_power *= noise->lognormal_factor(power_noise_sigma_);
-  }
+  const double avg_power = exec_time > 0.0
+                               ? (p_parallel * t_par + p_serial * t_serial) / exec_time
+                               : p_serial;
 
   Measurement m;
   m.exec_time_s = exec_time;
   m.avg_power_w = avg_power;
   m.energy_j = exec_time * avg_power;
   return m;
+}
+
+Measurement PerformanceModel::with_noise(const Measurement& expected, Rng& noise) const {
+  Measurement m;
+  m.exec_time_s = expected.exec_time_s * noise.lognormal_factor(time_noise_sigma_);
+  m.avg_power_w = expected.avg_power_w * noise.lognormal_factor(power_noise_sigma_);
+  m.energy_j = m.exec_time_s * m.avg_power_w;
+  return m;
+}
+
+Measurement PerformanceModel::evaluate(const KernelModelParams& kernel,
+                                       const Configuration& config, Rng* noise,
+                                       double work_scale) const {
+  const Measurement m = expected(kernel, config, work_scale);
+  return noise != nullptr ? with_noise(m, *noise) : m;
 }
 
 }  // namespace socrates::platform

@@ -77,9 +77,20 @@ class PerformanceModel {
   double time_noise_sigma() const { return time_noise_sigma_; }
   double power_noise_sigma() const { return power_noise_sigma_; }
 
-  /// Evaluates one kernel run.  `work_scale` scales the dataset (the
-  /// runtime experiment of Figure 5 uses a smaller dataset than the
-  /// static DSE of Figures 3/4).  `noise` == nullptr -> expected values.
+  /// Noise-free (expected) measurement of one kernel run.
+  /// `work_scale` scales the dataset (the runtime experiment of
+  /// Figure 5 uses a smaller dataset than the static DSE of Figures
+  /// 3/4).  Allocation-free.
+  Measurement expected(const KernelModelParams& kernel, const Configuration& config,
+                       double work_scale = 1.0) const;
+
+  /// One noisy observation of `expected`: draws the time factor, then
+  /// the power factor (a zero sigma draws nothing), and recomputes the
+  /// energy from the noisy pair.
+  Measurement with_noise(const Measurement& expected, Rng& noise) const;
+
+  /// Evaluates one kernel run: expected(), then with_noise() unless
+  /// `noise` == nullptr.
   Measurement evaluate(const KernelModelParams& kernel, const Configuration& config,
                        Rng* noise = nullptr, double work_scale = 1.0) const;
 

@@ -220,9 +220,8 @@ Pipeline::ExploreCacheResult Pipeline::explore_cached(
                                              repetitions, seed, work_scale, explorer);
   if (auto payload = cache_->load(key, "dse-profile")) {
     try {
-      std::istringstream in(*payload);
       ExploreCacheResult hit;
-      hit.points = dse::load_profile(in);
+      hit.points = dse::load_profile(*payload);
       hit.cache_hit = true;
       hit.evaluated = hit.points.size();
       return hit;
@@ -234,9 +233,7 @@ Pipeline::ExploreCacheResult Pipeline::explore_cached(
                           seed,      work_scale, &pool_, options_.dse_point_attempts};
   auto run = explorer.explore(ctx);
   if (run.dropped == 0) {
-    std::ostringstream out;
-    dse::save_profile(out, run.points);
-    cache_->store(key, "dse-profile", out.str());
+    cache_->store(key, "dse-profile", dse::save_profile(run.points));
   } else {
     // Never cache a degraded profile: a later chaos-free build must
     // re-explore, not inherit the holes.

@@ -22,11 +22,24 @@
 
 namespace socrates {
 
-inline std::string format_exact(double v) {
+/// Appends the exact text of `v` to `out` without a temporary string.
+inline void append_exact(std::string& out, double v) {
   char buf[48];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::hex);
-  std::string out(buf, res.ptr);
-  if (std::isfinite(v)) out.insert(out.front() == '-' ? 1 : 0, "0x");
+  char* first = buf + 3;  // room for the "0x" inserted after a sign
+  const auto res = std::to_chars(first, buf + sizeof(buf), v, std::chars_format::hex);
+  if (std::isfinite(v)) {
+    const bool negative = *first == '-';
+    if (negative) ++first;
+    *--first = 'x';
+    *--first = '0';
+    if (negative) *--first = '-';
+  }
+  out.append(first, res.ptr);
+}
+
+inline std::string format_exact(double v) {
+  std::string out;
+  append_exact(out, v);
   return out;
 }
 

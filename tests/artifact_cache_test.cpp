@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -210,14 +212,10 @@ TEST(ArtifactFormats, ProfileRoundTripsExactly) {
   const auto points = dse::full_factorial_dse(
       model(), kernels::find_benchmark("mvt").model, space, 2, 11);
 
-  std::ostringstream first;
-  dse::save_profile(first, points);
-  std::istringstream in(first.str());
-  const auto reloaded = dse::load_profile(in);
+  const std::string first = dse::save_profile(points);
+  const auto reloaded = dse::load_profile(first);
   ASSERT_EQ(reloaded.size(), points.size());
-  std::ostringstream second;
-  dse::save_profile(second, reloaded);
-  EXPECT_EQ(second.str(), first.str());  // hexfloat: exact round trip
+  EXPECT_EQ(dse::save_profile(reloaded), first);  // hexfloat: exact round trip
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(reloaded[i].config_index, points[i].config_index);
@@ -230,10 +228,54 @@ TEST(ArtifactFormats, ProfileRoundTripsExactly) {
 
 TEST(ArtifactFormats, MalformedProfileThrows) {
   for (const char* bad :
-       {"", "profile v2 1", "profile v1 notanumber", "profile v1 1\n0 cfg 9 0 1 0"}) {
-    std::istringstream in(bad);
-    EXPECT_THROW(dse::load_profile(in), ContractViolation) << bad;
+       {"", "profile v2 1", "profile v1 notanumber", "profile v1 1\n0 cfg 9 0 1 0",
+        // Counts the payload cannot hold (once length_error / bad_alloc).
+        "profile v1 18446744073709551615", "profile v1 4000000000",
+        "profile v1 18446744073709551616", "profile v1 2\n0 O3 3 0 1 0 0x1p+0 0 0x1p+0 0",
+        // Signed or out-of-range integer fields.
+        "profile v1 -1", "profile v1 +1\n0 O3 3 0 1 0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n-1 O3 3 0 1 0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 -3 0 1 0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 3 64 1 0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 3 0 -1 0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 3 0 1 2 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 3 0 1 -0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 3 0 18446744073709551616 0 0x1p+0 0 0x1p+0 0",
+        "profile v1 1\n0 O3 3 0 1 0 0x1p+0 0 0x1p+0",
+        "profile v1 1\n0 O3 3 0 1 0 0x1p+0 0 zz 0"}) {
+    EXPECT_THROW(dse::load_profile(bad), ContractViolation) << bad;
   }
+}
+
+TEST(ArtifactFormats, ProfileSpecialDoublesRoundTrip) {
+  // Writer and reader share one grammar: negative zero, a denormal and
+  // an infinity survive save -> load -> save bit for bit.
+  dse::ProfiledPoint p;
+  p.config_index = 3;
+  p.config_name = "O3";
+  p.configuration.flags = platform::FlagConfig(platform::OptLevel::kO3, 5);
+  p.configuration.threads = 7;
+  p.configuration.binding = platform::BindingPolicy::kSpread;
+  p.exec_time_mean_s = 1.5;
+  p.exec_time_stddev_s = -0.0;
+  p.power_mean_w = 80.0;
+  p.power_stddev_w = std::numeric_limits<double>::denorm_min() * 3;
+  dse::ProfiledPoint q = p;
+  q.exec_time_stddev_s = std::numeric_limits<double>::infinity();
+  q.power_stddev_w = -std::numeric_limits<double>::infinity();
+
+  const std::string text = dse::save_profile({p, q});
+  const auto back = dse::load_profile(text);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(dse::save_profile(back), text);
+  EXPECT_TRUE(std::signbit(back[0].exec_time_stddev_s));
+  EXPECT_EQ(back[0].exec_time_stddev_s, 0.0);
+  EXPECT_EQ(back[0].power_stddev_w, p.power_stddev_w);
+  EXPECT_EQ(back[1].exec_time_stddev_s, q.exec_time_stddev_s);
+  EXPECT_EQ(back[1].power_stddev_w, q.power_stddev_w);
+  EXPECT_EQ(back[1].configuration.flags.flag_bits(), 5u);
+  EXPECT_EQ(back[1].configuration.threads, 7u);
+  EXPECT_EQ(back[1].configuration.binding, platform::BindingPolicy::kSpread);
 }
 
 TEST(ArtifactFormats, CobaynModelRoundTripsExactly) {
@@ -296,10 +338,7 @@ TEST(PipelineCache, SecondBuildHitsBothExpensiveStages) {
   EXPECT_TRUE(warm_cobayn->cache_hit);
 
   // The cached profile is the recomputed profile, byte for byte.
-  std::ostringstream a, b;
-  dse::save_profile(a, cold.profile);
-  dse::save_profile(b, warm.profile);
-  EXPECT_EQ(b.str(), a.str());
+  EXPECT_EQ(dse::save_profile(warm.profile), dse::save_profile(cold.profile));
 }
 
 TEST(PipelineCache, FreshPipelineReusesASharedCache) {
@@ -314,10 +353,7 @@ TEST(PipelineCache, FreshPipelineReusesASharedCache) {
   EXPECT_TRUE(second.last_report().stage("Dse")->cache_hit);
   EXPECT_TRUE(second.last_report().stage("CobaynPredict")->cache_hit);
 
-  std::ostringstream a, b;
-  dse::save_profile(a, cold.profile);
-  dse::save_profile(b, warm.profile);
-  EXPECT_EQ(b.str(), a.str());
+  EXPECT_EQ(dse::save_profile(warm.profile), dse::save_profile(cold.profile));
 }
 
 TEST(PipelineCache, DifferentWorkScaleOrSeedMissesTheCache) {
@@ -352,16 +388,12 @@ TEST(PipelineCache, ProfileSpaceWarmCallReplaysTheColdSweep) {
   ASSERT_NE(warm_dse, nullptr);
   EXPECT_TRUE(warm_dse->cache_hit);
 
-  std::ostringstream a, b, direct;
-  dse::save_profile(a, cold);
-  dse::save_profile(b, warm);
-  EXPECT_EQ(b.str(), a.str());
+  EXPECT_EQ(dse::save_profile(warm), dse::save_profile(cold));
 
   // The points are the full sweep's, not a pipeline-specific variant.
-  dse::save_profile(direct, dse::full_factorial_dse(
-                                model(), kernels::find_benchmark("atax").model, space,
-                                2, 31));
-  EXPECT_EQ(a.str(), direct.str());
+  EXPECT_EQ(dse::save_profile(cold),
+            dse::save_profile(dse::full_factorial_dse(
+                model(), kernels::find_benchmark("atax").model, space, 2, 31)));
 }
 
 TEST(PipelineCache, UnusableStoredArtifactTriggersRecomputeNotCrash) {

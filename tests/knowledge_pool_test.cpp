@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -393,6 +394,41 @@ TEST_F(PoolServerTest, WarmPosteriorMergesDonorAndOwnWeights) {
       server.create_tenant("warm2", make_kb(), configure_min_time, profile);
   ASSERT_TRUE(kept.warm_started);
   EXPECT_EQ(kept.warm_posterior, profile.posterior);
+}
+
+TEST_F(PoolServerTest, SeededKnowledgeIndexFindsEveryMergedPoint) {
+  // seed_knowledge rebuilds the tenant KB from its own points plus the
+  // donor's; the rebuilt KB's index must find every merged row.
+  Server server(base_options());
+  {
+    PoolEntry e = make_entry("donor", 4.0, 40);  // knobs 1..40
+    server.knowledge_pool()->publish(std::move(e));
+  }
+  TenantProfile profile;
+  profile.features = make_fv(4.0);
+  std::vector<std::vector<int>> rows;
+  std::vector<std::optional<std::size_t>> found;
+  const CreateResult r = server.create_tenant(
+      "warm", make_kb(24), [&](margot::Asrtm& asrtm) {
+        configure_min_time(asrtm);
+        const auto& kb = asrtm.knowledge();
+        for (std::size_t i = 0; i < kb.size(); ++i) {
+          rows.push_back(kb[i].knobs);
+          found.push_back(kb.find(rows.back()));
+        }
+      },
+      profile);
+  ASSERT_TRUE(r.created);
+  ASSERT_TRUE(r.warm_started);
+  // The pool prunes the donor to its representatives: some replace the
+  // tenant's knobs 1..24, the rest (knobs above 24) are appended.
+  ASSERT_GT(rows.size(), 24u);
+  EXPECT_LE(rows.size(), 40u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i < 24) EXPECT_EQ(rows[i], std::vector<int>{static_cast<int>(i + 1)});
+    else EXPECT_GT(rows[i][0], 24);
+    EXPECT_EQ(found[i], i);
+  }
 }
 
 TEST_F(PoolServerTest, PoolPersistsAcrossServerRestart) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "margot/asrtm.hpp"
 #include "support/error.hpp"
@@ -21,6 +23,13 @@ KnowledgeBase tiny_kb() {
   kb.add(OperatingPoint{{0, 1}, {{10.0, 0.5}, {50.0, 1.0}, {0.1, 0.005}}});
   kb.add(OperatingPoint{{1, 8}, {{4.0, 0.2}, {80.0, 2.0}, {0.25, 0.0125}}});
   kb.add(OperatingPoint{{2, 32}, {{1.0, 0.05}, {140.0, 3.0}, {1.0, 0.05}}});
+  return kb;
+}
+
+KnowledgeBase tiny_kb_three_knobs() {
+  KnowledgeBase kb({"config", "threads", "binding"},
+                   {"exec_time_s", "power_w", "throughput"});
+  kb.add(OperatingPoint{{0, 1, 0}, {{10.0, 0.5}, {50.0, 1.0}, {0.1, 0.005}}});
   return kb;
 }
 
@@ -44,6 +53,80 @@ TEST(KnowledgeBase, RejectsDuplicatesAndBadShapes) {
                ContractViolation);
   EXPECT_THROW(kb.add(OperatingPoint{{5}, {{1, 0}, {1, 0}, {1, 0}}}), ContractViolation);
   EXPECT_THROW(kb.add(OperatingPoint{{5, 5}, {{1, 0}}}), ContractViolation);
+}
+
+// Every row of `kb` is found at its own index, and an absent row is not.
+void expect_index_consistent(const KnowledgeBase& kb, const std::vector<int>& absent) {
+  for (std::size_t i = 0; i < kb.size(); ++i) {
+    const std::vector<int> knobs = kb[i].knobs;
+    ASSERT_EQ(kb.find(knobs), i) << "point " << i;
+  }
+  EXPECT_EQ(kb.find(absent), std::nullopt);
+}
+
+OperatingPoint point_with_knobs(std::vector<int> knobs) {
+  return OperatingPoint{std::move(knobs), {{1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}}};
+}
+
+TEST(KnowledgeBase, IndexFindsEveryPointAcrossGrowth) {
+  KnowledgeBase kb({"config", "threads", "binding"},
+                   {"exec_time_s", "power_w", "throughput"});
+  int next = 0;
+  for (const std::size_t target : {15u, 16u, 17u, 32u, 33u, 1024u, 1025u}) {
+    while (kb.size() < target) {
+      kb.add(point_with_knobs({next % 8, next / 8 - 30, next % 2}));
+      ++next;
+    }
+    expect_index_consistent(kb, {0, -1000, 0});
+    // Duplicates stay rejected at every size, first and last rows alike.
+    const std::vector<int> first = kb[0].knobs;
+    const std::vector<int> last = kb[kb.size() - 1].knobs;
+    EXPECT_THROW(kb.add(point_with_knobs(first)), ContractViolation);
+    EXPECT_THROW(kb.add(point_with_knobs(last)), ContractViolation);
+    EXPECT_EQ(kb.size(), target);
+  }
+}
+
+TEST(KnowledgeBase, IndexSurvivesCopyAssignAndMove) {
+  KnowledgeBase kb({"config", "threads", "binding"},
+                   {"exec_time_s", "power_w", "throughput"});
+  for (int i = 0; i < 100; ++i) kb.add(point_with_knobs({i, -i, i % 3}));
+
+  const KnowledgeBase copy(kb);
+  expect_index_consistent(copy, {0, 0, 1});
+
+  KnowledgeBase assigned = tiny_kb_three_knobs();
+  assigned = kb;
+  expect_index_consistent(assigned, {0, 0, 1});
+  EXPECT_THROW(assigned.add(point_with_knobs({7, -7, 1})), ContractViolation);
+  assigned.add(point_with_knobs({7, -7, 2}));  // the copy grows on its own
+  EXPECT_EQ(assigned.find({7, -7, 2}), 100u);
+  EXPECT_EQ(kb.find({7, -7, 2}), std::nullopt);
+
+  KnowledgeBase moved(std::move(assigned));
+  expect_index_consistent(moved, {0, 0, 1});
+  KnowledgeBase move_assigned = tiny_kb_three_knobs();
+  move_assigned = std::move(moved);
+  expect_index_consistent(move_assigned, {0, 0, 1});
+  EXPECT_EQ(move_assigned.find({7, -7, 2}), 100u);
+}
+
+TEST(KnowledgeBase, RowsDifferingInTheLastKnobOrBySignNeverCollide) {
+  KnowledgeBase kb({"a", "b", "c"}, {"exec_time_s", "power_w", "throughput"});
+  // Rows equal in every knob but the last, and negated twins.
+  for (int last = -40; last <= 40; ++last) kb.add(point_with_knobs({1, 2, last}));
+  for (int v = 1; v <= 40; ++v) {
+    kb.add(point_with_knobs({-v, v, 0}));
+    kb.add(point_with_knobs({v, -v, 0}));
+    kb.add(point_with_knobs({-v, -v, -v}));
+  }
+  kb.add(point_with_knobs({std::numeric_limits<int>::min(), 0, 0}));
+  kb.add(point_with_knobs({std::numeric_limits<int>::max(), 0, 0}));
+  kb.add(point_with_knobs({0, 0, std::numeric_limits<int>::min()}));
+  expect_index_consistent(kb, {1, 2, 41});
+  EXPECT_EQ(kb.size(), 81u + 120u + 3u);
+  EXPECT_EQ(kb.find({1, 2, -41}), std::nullopt);
+  EXPECT_EQ(kb.find({0, 0, std::numeric_limits<int>::max()}), std::nullopt);
 }
 
 TEST(Asrtm, UnconstrainedRankMaximizeThroughput) {

@@ -34,9 +34,7 @@ const platform::PerformanceModel& model() {
 // save_profile writes hexfloat doubles (exact round trip), so equal
 // strings means bit-identical profiles.
 std::string profile_bytes(const std::vector<dse::ProfiledPoint>& points) {
-  std::ostringstream out;
-  dse::save_profile(out, points);
-  return out.str();
+  return dse::save_profile(points);
 }
 
 TEST(ParallelDeterminism, DseProfileIsByteIdenticalAtAnyJobCount) {
