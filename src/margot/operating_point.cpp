@@ -51,52 +51,48 @@ KnowledgeBase& KnowledgeBase::operator=(const KnowledgeBase& other) {
 
 void KnowledgeBase::copy_from(const KnowledgeBase& other) {
   if (other.size_ == 0) return;
-  // Same capacity as `other`, so its index slots are valid here as is.
-  grow(other.capacity_);
+  // Same capacity, hence the same arena layout: one flat copy carries
+  // the columns, the knob rows and the index slots.
+  carve(other.capacity_);
+  std::memcpy(arena_.data(), other.arena_.data(), other.arena_.used());
+  size_ = other.size_;
+}
+
+void KnowledgeBase::carve(std::size_t capacity) {
   const std::size_t metrics = metric_names_.size();
   const std::size_t knobs = knob_names_.size();
-  for (std::size_t m = 0; m < metrics; ++m) {
-    std::memcpy(means_ + m * capacity_, other.means_ + m * other.capacity_,
-                other.size_ * sizeof(double));
-    std::memcpy(stddevs_ + m * capacity_, other.stddevs_ + m * other.capacity_,
-                other.size_ * sizeof(double));
-  }
-  std::memcpy(knobs_, other.knobs_, other.size_ * knobs * sizeof(int));
-  std::memcpy(index_, other.index_, 2 * capacity_ * sizeof(std::uint32_t));
-  size_ = other.size_;
+  const std::size_t column_bytes = capacity * sizeof(double);
+  arena_ = support::Arena(support::Arena::bytes_for(
+      metrics * column_bytes, metrics * column_bytes,
+      capacity * knobs * sizeof(int), 2 * capacity * sizeof(std::uint32_t)));
+  means_ = arena_.allocate<double>(metrics * capacity);
+  stddevs_ = arena_.allocate<double>(metrics * capacity);
+  knobs_ = arena_.allocate<int>(capacity * knobs);
+  index_ = arena_.allocate<std::uint32_t>(2 * capacity);
+  capacity_ = capacity;
 }
 
 void KnowledgeBase::grow(std::size_t min_capacity) {
   std::size_t capacity = capacity_ == 0 ? 16 : capacity_ * 2;
   while (capacity < min_capacity) capacity *= 2;
 
-  const std::size_t metrics = metric_names_.size();
-  const std::size_t knobs = knob_names_.size();
-  const std::size_t column_bytes = capacity * sizeof(double);
-  support::Arena arena(support::Arena::bytes_for(
-      metrics * column_bytes, metrics * column_bytes,
-      capacity * knobs * sizeof(int), 2 * capacity * sizeof(std::uint32_t)));
-  double* means = arena.allocate<double>(metrics * capacity);
-  double* stddevs = arena.allocate<double>(metrics * capacity);
-  int* knob_block = arena.allocate<int>(capacity * knobs);
-  std::uint32_t* index = arena.allocate<std::uint32_t>(2 * capacity);
-  std::memset(index, 0, 2 * capacity * sizeof(std::uint32_t));
+  const support::Arena old = std::move(arena_);
+  const double* old_means = means_;
+  const double* old_stddevs = stddevs_;
+  const int* old_knobs = knobs_;
+  const std::size_t old_capacity = capacity_;
+  carve(capacity);
 
+  const std::size_t metrics = metric_names_.size();
   for (std::size_t m = 0; m < metrics && size_ > 0; ++m) {
-    std::memcpy(means + m * capacity, means_ + m * capacity_,
+    std::memcpy(means_ + m * capacity, old_means + m * old_capacity,
                 size_ * sizeof(double));
-    std::memcpy(stddevs + m * capacity, stddevs_ + m * capacity_,
+    std::memcpy(stddevs_ + m * capacity, old_stddevs + m * old_capacity,
                 size_ * sizeof(double));
   }
   if (size_ > 0)
-    std::memcpy(knob_block, knobs_, size_ * knobs * sizeof(int));
-
-  arena_ = std::move(arena);
-  means_ = means;
-  stddevs_ = stddevs;
-  knobs_ = knob_block;
-  index_ = index;
-  capacity_ = capacity;
+    std::memcpy(knobs_, old_knobs, size_ * knob_names_.size() * sizeof(int));
+  std::memset(index_, 0, 2 * capacity * sizeof(std::uint32_t));
   for (std::size_t i = 0; i < size_; ++i)
     index_[probe(knob_row(i), nullptr)] = static_cast<std::uint32_t>(i + 1);
 }

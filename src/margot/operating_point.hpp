@@ -207,6 +207,9 @@ class KnowledgeBase {
   /// points (capacity stays a power of two so columns stay aligned)
   /// and rebuilds the knob index for the new capacity.
   void grow(std::size_t min_capacity);
+  /// Replaces the arena with a fresh, uninitialized one for `capacity`
+  /// points and points the columns, knob rows and index into it.
+  void carve(std::size_t capacity);
   void copy_from(const KnowledgeBase& other);
   /// Index slot holding `row`, or the empty slot where it would go.
   /// `compares` (optional) counts the rows compared on the way.

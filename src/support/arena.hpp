@@ -4,9 +4,10 @@
 // (per-metric means, per-metric stddevs, the flat knob block) lives in
 // one contiguous allocation, each sub-block starting on a cache-line /
 // SIMD-lane boundary so the branchless decision sweeps stream over
-// aligned doubles.  The arena is move-only: owners that need copies
-// (KnowledgeBase) re-allocate and re-pack, because a raw byte copy
-// would not fix up the typed pointers previously handed out.
+// aligned doubles.  The arena is move-only, because a raw byte copy
+// would not fix up the typed pointers previously handed out: owners
+// that need copies (KnowledgeBase) carve a fresh arena with the same
+// allocate() sequence, re-derive their pointers and copy the bytes.
 #pragma once
 
 #include <cstddef>
@@ -77,6 +78,11 @@ class Arena {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
+  /// Start of the block: two arenas carved by the same allocate()
+  /// sequence share a layout, so used() bytes from here copy one into
+  /// the other.
+  std::byte* data() { return block_; }
+  const std::byte* data() const { return block_; }
 
  private:
   static constexpr std::size_t round_up(std::size_t bytes) {
